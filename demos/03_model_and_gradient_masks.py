@@ -1,15 +1,15 @@
 """The sliced encoder and its per-level gradient masks.
 
-Runs a forward pass, shows that every level sees the same aggregated
-feature value while coarse heads are blocked from back-propagating into
-finer slices, and validates one analytic gradient against central
-finite differences.
+Runs a forward pass, shows that every level reads the same concatenated
+feature while backward zeroes a coarse head's gradient into the
+projection columns of finer slices, and validates one analytic gradient
+against central finite differences.
 """
 
 import numpy as np
 
 from seal.hierarchy import balanced_hierarchy
-from seal.model import aggregate, backward, forward, init_model
+from seal.model import backward, forward, init_model
 
 spec = balanced_hierarchy([2, 3, 6])
 state = init_model(spec, in_dim=8, hidden=(10,), proj_dim=9, seed=0)
@@ -18,24 +18,28 @@ trace = forward(state, x)
 
 print("per-level class counts:", spec.counts)
 print("slice widths:", np.diff(state.slice_bounds).tolist())
-for level in (1, 2, 3):
-    value, blocked = aggregate(trace.z_slices, level)
-    print(f"level {level}: aggregated value norm {np.linalg.norm(value[0]):.4f}, "
-          f"blocked slices {np.flatnonzero(blocked) + 1}")
+print("every head reads one feature of norm",
+      f"{np.linalg.norm(trace.z_hat[0]):.4f} over all {state.proj_dim} columns")
 
 print("\nprobability row sums per level:",
       [float(p.sum(axis=1).mean()) for p in trace.probs])
 
-# gradient from a level-1 head only: projection columns of slices 2..3
-# receive exactly zero
-upstream = np.random.default_rng(2).standard_normal(trace.scores[0].shape)
-grads = backward(state, trace, d_scores=[upstream, None, None])
+# gradient from one head at a time: backward zeroes the head's gradient
+# into the projection columns of every finer slice
 bounds = state.slice_bounds
-print("\nlevel-1 head gradient into projection columns:")
-print("  slice 1 column norms:", np.round(np.linalg.norm(grads.weights[-1][:, :bounds[1]], axis=0), 4))
-print("  slices 2..3 max |grad|:", float(np.abs(grads.weights[-1][:, bounds[1]:]).max()))
+rng = np.random.default_rng(2)
+print("\nmax |grad| into each slice's projection columns, per head:")
+for level in (1, 2, 3):
+    d_scores = [None, None, None]
+    d_scores[level - 1] = rng.standard_normal(trace.scores[level - 1].shape)
+    grads = backward(state, trace, d_scores=d_scores)
+    per_slice = [
+        float(np.abs(grads.weights[-1][:, bounds[k] : bounds[k + 1]]).max())
+        for k in range(state.levels)
+    ]
+    print(f"  level-{level} head: " + ", ".join(f"slice {k + 1} {g:.2e}" for k, g in enumerate(per_slice)))
 
-# finite-difference check of the finest head (all-pass mask)
+# finite-difference check of the finest head (it blocks no slice)
 upstream = np.random.default_rng(3).standard_normal(trace.scores[2].shape)
 grads = backward(state, trace, d_scores=[None, None, upstream])
 w = state.weights[0]

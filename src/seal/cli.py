@@ -73,7 +73,12 @@ def _pin_threads(args) -> None:
     threads = args.threads
     env_threads = os.environ.get("SEAL_THREADS")
     if env_threads is not None:
-        threads = int(env_threads)
+        try:
+            threads = int(env_threads)
+        except ValueError as exc:
+            raise InputError(
+                f"SEAL_THREADS must be an integer, got {env_threads!r}"
+            ) from exc
     if args.deterministic:
         threads = 1
     if threads is not None:
@@ -107,11 +112,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"seal: error: {exc}", file=sys.stderr)
         return 1
-
-
-def run(argv) -> int:
-    """Programmatic entry point: dispatch an argv list, return the exit code."""
-    return main(argv)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -385,7 +385,12 @@ def _cmd_report(args) -> int:
     summary = {"epochs": len(entries), "last_epoch": entries[-1]}
     final_path = run_dir / "final.json"
     if final_path.exists():
-        final_doc = json.loads(final_path.read_text())
+        try:
+            final_doc = json.loads(final_path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"{final_path}: invalid JSON ({exc})") from exc
+        if not isinstance(final_doc, dict):
+            raise DataFormatError(f"{final_path}: expected a JSON object")
         summary["final"] = final_doc.get("final", {})
     (run_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,7 @@ from the known ("old") classes and an unlabelled remainder.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +26,9 @@ from .hierarchy import HierarchySpec, level_map
 DEFAULT_SPREADS = (10.0, 4.0, 1.0, 1.2)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One feature vector with its per-level labels (-1 where unknown)."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    is_labelled: bool = False
-
-
 class Dataset:
     """Columnar container for N samples: features (N, d) float64 and
-    labels (N, H) int64, indexable as a sequence of Sample."""
+    labels (N, H) int64."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, spec: HierarchySpec):
         features = np.asarray(features, dtype=np.float64)
@@ -58,9 +49,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(features=self.features[i], labels=self.labels[i])
 
     @property
     def dim(self) -> int:

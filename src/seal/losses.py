@@ -22,9 +22,6 @@ from .hierarchy import TransitionMatrix
 KL_FLOOR = 1e-12
 _TINY_DIST = 1e-12
 
-FUSE_MODES = ("cummean", "max", "pairmean")
-
-
 @dataclass
 class LossConfig:
     """All scalar loss hyperparameters and schedules.
@@ -35,8 +32,7 @@ class LossConfig:
     temperature for distillation and transition updates;
     soft_smoothness: soft-label smoothness; curriculum_*: linear decay
     of the hybrid-similarity coefficient (horizon None = the full run);
-    transition_momentum: transition-matrix update momentum; beta:
-    labelled/unlabelled weight recorded for the objective-bound checks.
+    transition_momentum: transition-matrix update momentum.
     """
 
     tau: float = 0.1
@@ -51,10 +47,6 @@ class LossConfig:
     curriculum_end: float = 0.0
     curriculum_horizon: int | None = None
     transition_momentum: float = 0.95
-    beta: float = 1.0
-    fuse_mode: str = "cummean"
-    clamp_soft_negatives: bool = False
-    detach_cgc_target: bool = False
 
     def __post_init__(self):
         if self.tau <= 0 or self.tau_sharp <= 0 or self.tau_consistency <= 0:
@@ -71,8 +63,6 @@ class LossConfig:
             raise InputError("transition_momentum must be in [0, 1]")
         if self.entropy_weight < 0:
             raise InputError("entropy_weight must be non-negative")
-        if self.fuse_mode not in FUSE_MODES:
-            raise InputError(f"fuse_mode must be one of {FUSE_MODES}, got {self.fuse_mode!r}")
 
 
 def sharpen(scores: np.ndarray, tau_sharp: float) -> np.ndarray:
@@ -163,39 +153,26 @@ def similarity_matrix(features: np.ndarray) -> np.ndarray:
     return sims
 
 
-def fuse_hierarchy(sims: list[np.ndarray], mode: str = "cummean") -> np.ndarray:
-    """Fuse the level-h similarity matrix with its coarser counterparts.
-
-    cummean: mean over levels 1..h (default); max: elementwise max;
-    pairmean: mean of the two finest levels supplied.
-    """
+def fuse_hierarchy(sims: list[np.ndarray]) -> np.ndarray:
+    """Fuse the level-h similarity matrix with its coarser counterparts:
+    the entrywise mean over levels 1..h."""
     if not sims:
         raise InputError("need at least one similarity matrix")
     shape = sims[0].shape
     for s in sims[1:]:
         if s.shape != shape:
             raise InputError("similarity matrices must share one shape")
-    if mode == "cummean":
-        return np.mean(sims, axis=0)
-    if mode == "max":
-        return np.max(sims, axis=0)
-    if mode == "pairmean":
-        return sims[-1] if len(sims) == 1 else 0.5 * (sims[-1] + sims[-2])
-    raise InputError(f"unknown fuse mode {mode!r}")
+    return np.mean(sims, axis=0)
 
 
-def soft_labels(fused: np.ndarray, smoothness: float, clamp: bool = False) -> np.ndarray:
-    """(1 - smoothness) * I + smoothness * fused; optionally clamp
-    negative entries at zero."""
+def soft_labels(fused: np.ndarray, smoothness: float) -> np.ndarray:
+    """(1 - smoothness) * I + smoothness * fused."""
     if not 0 <= smoothness <= 1:
         raise InputError(f"smoothness must be in [0, 1], got {smoothness}")
     fused = np.asarray(fused, dtype=np.float64)
     if fused.ndim != 2 or fused.shape[0] != fused.shape[1]:
         raise InputError("fused similarity must be square")
-    out = (1.0 - smoothness) * np.eye(fused.shape[0]) + smoothness * fused
-    if clamp:
-        out = np.maximum(out, 0.0)
-    return out
+    return (1.0 - smoothness) * np.eye(fused.shape[0]) + smoothness * fused
 
 
 def hybrid_sim(a: np.ndarray, b: np.ndarray, lam_c: float) -> float:

@@ -13,6 +13,7 @@ forward trace, in float64 so finite-difference checks are meaningful.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,23 +104,14 @@ def init_model(
     tau: float = 0.1,
     tau_sharp: float = 0.07,
     seed: int = 0,
-    family_prototypes: bool = False,
-    family_spread: float = 0.5,
 ) -> ModelState:
     """Seeded parameter initialization: 1/sqrt(fan_in)-scaled Gaussian
     layers and unit prototypes. The default projection gives each level
     a 64-wide slice; narrower slices cannot hold many near-orthogonal
     class directions and destabilize the soft contrastive term.
-
-    With family_prototypes, each finer level's prototype starts at its
-    parent's direction plus family_spread Gaussian noise, so sibling
-    classes begin in one neighborhood and the taxonomy biases which
-    prototype slot a novel cluster settles into.
     """
     if tau <= 0 or tau_sharp <= 0:
         raise InputError("temperatures must be positive")
-    if family_spread <= 0:
-        raise InputError("family_spread must be positive")
     if proj_dim is None:
         proj_dim = 64 * spec.levels
     rng = np.random.default_rng(seed)
@@ -130,11 +122,8 @@ def init_model(
         biases.append(np.zeros(fan_out))
     bounds = np.concatenate([[0], np.cumsum(slice_widths(proj_dim, spec.levels))])
     prototypes = []
-    for lvl, n_h in enumerate(spec.counts):
+    for n_h in spec.counts:
         protos = rng.standard_normal((n_h, proj_dim))
-        if family_prototypes and lvl > 0:
-            parents = prototypes[lvl - 1][spec.parent_maps[lvl - 1]]
-            protos = parents + family_spread * protos
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         prototypes.append(protos)
     return ModelState(
@@ -168,20 +157,6 @@ class ForwardTrace:
     @property
     def batch_size(self) -> int:
         return self.x.shape[0]
-
-
-def aggregate(z_slices: list[np.ndarray], level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the per-level slices for a level-``level`` head.
-
-    The value is the full concatenation for every level; the returned
-    boolean mask marks which slices are gradient-blocked for this head
-    (those finer than ``level``). aggregate(..., H) blocks nothing.
-    """
-    levels = len(z_slices)
-    if not 1 <= level <= levels:
-        raise InputError(f"level {level} outside [1, {levels}]")
-    blocked = np.arange(1, levels + 1) > level
-    return np.concatenate(z_slices, axis=1), blocked
 
 
 def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
@@ -219,7 +194,8 @@ def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
             raise NumericError(f"degenerate norm in slice normalization at level {lvl + 1}")
         slice_norms.append(n)
         z_slices.append(s / n)
-    z_cat, _ = aggregate(z_slices, state.levels)
+    # every head reads the full concatenation; backward blocks finer slices
+    z_cat = np.concatenate(z_slices, axis=1)
     cat_norm = np.linalg.norm(z_cat, axis=1, keepdims=True)
     z_hat = z_cat / cat_norm
 
@@ -287,7 +263,7 @@ def backward(
     d_scores[h-1] is the upstream gradient w.r.t. the level-h cosine
     scores (pre-temperature); d_slices[h-1] is w.r.t. the normalized
     level-h slice (representation losses attach here and bypass the
-    aggregation mask). Either list may be None or contain Nones.
+    per-head gradient block). Either list may be None or contain Nones.
     """
     levels = state.levels
     d_scores = d_scores if d_scores is not None else [None] * levels
@@ -344,13 +320,6 @@ def backward(
     return grads
 
 
-def tangent_project(proto_grad: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Remove each gradient row's radial component along its prototype,
-    leaving the step tangent to the unit sphere."""
-    radial = (proto_grad * prototypes).sum(axis=1, keepdims=True)
-    return proto_grad - radial * prototypes
-
-
 def renormalize_prototypes(state: ModelState) -> None:
     """Project prototype rows back to unit norm (call after each
     optimizer step)."""
@@ -405,29 +374,45 @@ def save_checkpoint(path, state: ModelState, meta: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[ModelState, dict]:
     """Read a checkpoint written by save_checkpoint; returns
-    (state, sidecar metadata)."""
+    (state, sidecar metadata). A truncated container or a sidecar that
+    is not JSON is a DataFormatError naming the file."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".meta.json")
     if not path.exists():
         raise DataFormatError(f"{path}: no such checkpoint")
     if not sidecar_path.exists():
         raise DataFormatError(f"{sidecar_path}: missing metadata sidecar")
-    meta = json.loads(sidecar_path.read_text())
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DataFormatError(f"{path}: bad magic bytes")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise DataFormatError(f"{path}: unsupported format version {version}")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-            size = int(np.prod(shape, initial=1))
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-            tensors[name] = np.asarray(data, dtype=np.float64).copy()
+    try:
+        meta = json.loads(sidecar_path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{sidecar_path}: invalid JSON ({exc})") from exc
+    blob = memoryview(path.read_bytes())
+    if blob[:4] != _MAGIC:
+        raise DataFormatError(f"{path}: bad magic bytes")
+    pos = 4
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal pos
+        chunk = blob[pos : pos + size]
+        if len(chunk) != size:
+            raise DataFormatError(f"{path}: truncated {what} at byte {pos}")
+        pos += size
+        return chunk
+
+    version, count = struct.unpack("<II", take(8, "header"))
+    if version != _VERSION:
+        raise DataFormatError(f"{path}: unsupported format version {version}")
+    tensors: dict[str, np.ndarray] = {}
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"tensor {i} name length"))
+        try:
+            name = bytes(take(name_len, f"tensor {i} name")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: tensor {i} name is not utf-8") from exc
+        (ndim,) = struct.unpack("<B", take(1, f"{name} rank"))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"{name} shape"))
+        data = take(8 * math.prod(shape), f"{name} data")
+        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     try:
         n_layers = 1 + max(
             int(k.split(".")[0][5:]) for k in tensors if k.startswith("layer")
@@ -437,16 +422,19 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         bounds = tensors["slice_bounds"].astype(np.int64)
         levels = int(meta["levels"])
         prototypes = [tensors[f"prototypes.{lvl}"] for lvl in range(1, levels + 1)]
+        tau, tau_sharp = float(meta["tau"]), float(meta["tau_sharp"])
     except KeyError as exc:
-        raise DataFormatError(f"{path}: missing tensor {exc}") from exc
+        raise DataFormatError(f"{path}: missing tensor or metadata field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed tensors or metadata ({exc})") from exc
     return (
         ModelState(
             weights=weights,
             biases=biases,
             slice_bounds=bounds,
             prototypes=prototypes,
-            tau=float(meta["tau"]),
-            tau_sharp=float(meta["tau_sharp"]),
+            tau=tau,
+            tau_sharp=tau_sharp,
         ),
         meta,
     )

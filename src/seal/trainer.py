@@ -19,8 +19,8 @@ import numpy as np
 from . import losses as L
 from .datagen import Dataset, GcdSplit
 from .errors import InputError, NumericError
-from .evaluation import consistency_rate, evaluate_predictions, hungarian_acc, split_acc
-from .hierarchy import HierarchySpec, TransitionMatrix, init_transition, level_map, update_transition
+from .evaluation import consistency_rate, evaluate_predictions, hungarian_acc
+from .hierarchy import HierarchySpec, init_transition, level_map, update_transition
 from .losses import LossConfig
 from .model import (
     ModelState,
@@ -31,12 +31,9 @@ from .model import (
     renormalize_prototypes,
 )
 
-TRANSITION_CADENCES = ("epoch", "batch")
-
-
 @dataclass
 class TrainConfig:
-    """Loop hyperparameters: schedule, optimizer, batching, cadences."""
+    """Loop hyperparameters: schedule, optimizer, batching."""
 
     epochs: int = 200
     batch_size: int = 128
@@ -46,10 +43,8 @@ class TrainConfig:
     weight_decay: float = 5e-5
     seed: int = 0
     view_noise: float = 0.1
-    transition_update: str = "epoch"
     val_fraction: float = 0.2
     use_cgc: bool = True
-    cgc_both_views: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -63,29 +58,16 @@ class TrainConfig:
                 f"need lr_initial > lr_final > 0 (or both zero), got "
                 f"{self.lr_initial} and {self.lr_final}"
             )
-        if self.transition_update not in TRANSITION_CADENCES:
-            raise InputError(
-                f"transition_update must be one of {TRANSITION_CADENCES}, "
-                f"got {self.transition_update!r}"
-            )
         if not 0 <= self.val_fraction < 1:
             raise InputError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 @dataclass
 class ModelConfig:
-    """Encoder architecture knobs (projection defaults to 64 per level).
-
-    family_prototypes seeds each finer level's prototypes near their
-    parent's direction, letting the taxonomy bias which slot a novel
-    cluster occupies; it stabilizes accuracy slightly but partially
-    substitutes for the consistency distillation, so it stays off in
-    the benchmark arms."""
+    """Encoder architecture knobs (projection defaults to 64 per level)."""
 
     hidden: tuple[int, ...] = (64, 64)
     proj_dim: int | None = None
-    family_prototypes: bool = False
-    family_spread: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
@@ -246,10 +228,13 @@ def train(
         tau=loss_cfg.tau,
         tau_sharp=loss_cfg.tau_sharp,
         seed=model_seed,
-        family_prototypes=model_cfg.family_prototypes,
-        family_spread=model_cfg.family_spread,
     )
-    transitions = [init_transition(spec, split.old_classes, h) for h in range(1, levels)]
+    # transition matrices exist only when the consistency term reads them
+    transitions = (
+        [init_transition(spec, split.old_classes, h) for h in range(1, levels)]
+        if train_cfg.use_cgc
+        else []
+    )
 
     train_lab, val_idx = validation_split(split.labelled, train_cfg.val_fraction, train_cfg.seed)
     unlab = split.unlabelled
@@ -310,19 +295,9 @@ def train(
                 raise NumericError(f"epoch {epoch}, step {step}: {exc}") from exc
             for name, value in components.items():
                 sums[name] = sums.get(name, 0.0) + value
-            if train_cfg.transition_update == "batch" and unlab.size:
-                batch_unlab = idx[~labelled_mask]
-                if batch_unlab.size:
-                    transitions[:] = _refresh_transitions(
-                        state,
-                        dataset.features[batch_unlab],
-                        transitions,
-                        loss_cfg.tau_consistency,
-                        loss_cfg.transition_momentum,
-                    )
             step += 1
-        if train_cfg.transition_update == "epoch" and unlab.size:
-            transitions[:] = _refresh_transitions(
+        if transitions and unlab.size:
+            transitions = _refresh_transitions(
                 state,
                 dataset.features[unlab],
                 transitions,
@@ -397,10 +372,7 @@ def _train_step(
         d_scores_a[h] += d_log_a / (2.0 * state.tau)
         d_scores_b[h] += d_log_b / (2.0 * state.tau)
 
-        fused = L.fuse_hierarchy(sims[: h + 1], mode=loss_cfg.fuse_mode)
-        soft = L.soft_labels(
-            fused, loss_cfg.soft_smoothness, clamp=loss_cfg.clamp_soft_negatives
-        )
+        soft = L.soft_labels(L.fuse_hierarchy(sims[: h + 1]), loss_cfg.soft_smoothness)
         hscl, dza, dzb = L.hscl_loss(trace_a.z_slices[h], trace_b.z_slices[h], soft, lam_c)
         hscl_sum += hscl
         weight_u = 1.0 - loss_cfg.balance
@@ -420,24 +392,19 @@ def _train_step(
     components["loss_rep"] = (1.0 - loss_cfg.balance) * hscl_sum + loss_cfg.balance * sup_sum
 
     cgc_value = 0.0
-    if train_cfg.use_cgc and levels > 1:
+    if transitions:
         # consistency posteriors soften the classifier logits (scores / tau)
-        # by tau_c, so the chain back to raw scores carries 1 / (tau * tau_c)
+        # by tau_c, so the chain back to raw scores carries 1 / (tau * tau_c);
+        # the term runs on view a and also trains the fine head through
+        # the pseudo-coarse target
         tau_c = loss_cfg.tau_consistency
-        views = [(trace_a, d_scores_a)]
-        if train_cfg.cgc_both_views:
-            views.append((trace_b, d_scores_b))
-        for trace, d_scores in views:
-            probs_c = [L.consistency_probs(trace.logits[h], tau_c) for h in range(levels)]
-            value, d_levels, d_fine = L.cgc_loss(
-                probs_c[:-1], probs_c[-1], transitions, detach_target=loss_cfg.detach_cgc_target
-            )
-            scale = 1.0 / len(views)
-            cgc_value += scale * value
-            for h, d in enumerate(d_levels):
-                d_scores[h] += scale * d / (state.tau * tau_c)
-            if d_fine is not None:
-                d_scores[levels - 1] += scale * d_fine / (state.tau * tau_c)
+        probs_c = [L.consistency_probs(trace_a.logits[h], tau_c) for h in range(levels)]
+        cgc_value, d_levels, d_fine = L.cgc_loss(
+            probs_c[:-1], probs_c[-1], transitions, detach_target=False
+        )
+        for h, d in enumerate(d_levels):
+            d_scores_a[h] += d / (state.tau * tau_c)
+        d_scores_a[levels - 1] += d_fine / (state.tau * tau_c)
     components["loss_cgc"] = cgc_value
 
     components["loss_total"] = L.total_loss(
@@ -490,24 +457,17 @@ def _final_metrics(state, dataset, spec, split, transitions):
     if unlab.size == 0:
         return {"note": "no unlabelled samples"}
     preds, _ = predict_levels(state, dataset.features[unlab])
-    pred_matrix = np.stack(preds, axis=1)
-    levels_match = spec.counts == dataset.spec.counts
-    out: dict = {"levels": {}}
-    if levels_match:
-        truth = dataset.labels[unlab]
-        reports = evaluate_predictions(truth, pred_matrix, dataset.spec, split.old_classes)
-        for h, report in reports.items():
-            out["levels"][str(h)] = report.as_dict()
+    if spec.counts == dataset.spec.counts:
+        eval_spec = dataset.spec
+        truth, pred = dataset.labels[unlab], np.stack(preds, axis=1)
     else:
-        truth_fine = dataset.fine_labels()[unlab]
-        acc, assignment = hungarian_acc(truth_fine, preds[-1], spec.num_fine)
-        acc_old, acc_new = split_acc(truth_fine, preds[-1], split.old_classes, assignment)
-        out["levels"][str(spec.levels)] = {
-            "all": acc,
-            "old": acc_old,
-            "new": acc_new,
-            "consistency": {},
-        }
+        # other level counts: score the fine column alone, under the
+        # training hierarchy's finest-level key
+        eval_spec = HierarchySpec(counts=(spec.num_fine,))
+        truth, pred = dataset.fine_labels()[unlab][:, None], preds[-1][:, None]
+    reports = evaluate_predictions(truth, pred, eval_spec, split.old_classes)
+    shift = spec.levels - eval_spec.levels
+    out: dict = {"levels": {str(h + shift): r.as_dict() for h, r in reports.items()}}
     fine_report = out["levels"][str(spec.levels)]
     out["all"] = fine_report["all"]
     out["old"] = fine_report["old"]

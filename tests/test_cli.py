@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from seal.cli import run
+from seal.cli import main
 
 
 TINY_CONFIG = {
@@ -43,7 +43,7 @@ def write_config(tmp_path, overrides=None):
 class TestGenerate:
     def test_writes_dataset_files(self, tmp_path, capsys):
         out = tmp_path / "data"
-        code = run([
+        code = main([
             "generate", "--counts", "2,4", "--per-class", "5", "--dim", "6",
             "--seed", "7", "--out", str(out),
         ])
@@ -58,13 +58,13 @@ class TestGenerate:
         args = ["generate", "--counts", "2,4", "--per-class", "50", "--dim", "16",
                 "--seed", "7"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(args + ["--out", str(out1)]) == 0
-        assert run(args + ["--out", str(out2)]) == 0
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
         for name in ("features.csv", "hierarchy.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_bad_counts_exit_one(self, tmp_path, capsys):
-        assert run(["generate", "--counts", "2,x", "--out", str(tmp_path)]) == 1
+        assert main(["generate", "--counts", "2,x", "--out", str(tmp_path)]) == 1
         assert "integer" in capsys.readouterr().err
 
 
@@ -72,7 +72,7 @@ class TestTrain:
     def test_run_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
-        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 3
         entry = json.loads(lines[0])
@@ -86,7 +86,7 @@ class TestTrain:
     def test_checkpoint_loads_back(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
-        run(["train", "--config", str(cfg), "--out", str(out)])
+        main(["train", "--config", str(cfg), "--out", str(out)])
         from seal.model import load_checkpoint
 
         state, meta = load_checkpoint(out / "model.seal")
@@ -94,13 +94,13 @@ class TestTrain:
         assert state.levels == 2
 
     def test_missing_config_names_path(self, tmp_path, capsys):
-        code = run(["train", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
+        code = main(["train", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
         assert code == 1
         assert "missing.json" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, overrides={"trrain": {}})
-        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
         assert "trrain" in capsys.readouterr().err
 
     def test_unknown_loss_key_rejected(self, tmp_path, capsys):
@@ -108,11 +108,30 @@ class TestTrain:
         doc["loss"]["lambda_q"] = 0.5
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(doc))
-        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
         assert "lambda_q" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("loss", "beta", 1.0),
+        ("loss", "fuse_mode", "cummean"),
+        ("loss", "clamp_soft_negatives", False),
+        ("loss", "detach_cgc_target", False),
+        ("train", "transition_update", "epoch"),
+        ("train", "cgc_both_views", False),
+        ("model", "family_prototypes", False),
+        ("model", "family_spread", 0.5),
+    ])
+    def test_removed_config_key_rejected(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc[section][key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
+
     def test_unknown_flag_exit_one(self, capsys):
-        assert run(["train", "--confg", "x.json"]) == 1
+        assert main(["train", "--confg", "x.json"]) == 1
         assert "usage error" in capsys.readouterr().err
 
 
@@ -134,7 +153,7 @@ class TestEvalCommand:
 
     def test_perfect_predictions_score_one(self, tmp_path, capsys):
         self._write_files(tmp_path)
-        code = run([
+        code = main([
             "eval", "--pred", str(tmp_path / "pred.csv"),
             "--truth", str(tmp_path / "truth.csv"),
             "--hierarchy", str(tmp_path / "h.json"),
@@ -148,7 +167,7 @@ class TestEvalCommand:
     def test_id_mismatch_rejected(self, tmp_path, capsys):
         self._write_files(tmp_path)
         (tmp_path / "pred2.csv").write_text("id,level_1,level_2\n99,0,0\n")
-        code = run([
+        code = main([
             "eval", "--pred", str(tmp_path / "pred2.csv"),
             "--truth", str(tmp_path / "truth.csv"),
             "--hierarchy", str(tmp_path / "h.json"),
@@ -159,7 +178,7 @@ class TestEvalCommand:
         self._write_files(tmp_path)
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
-        run(["train", "--config", str(cfg), "--out", str(out)])
+        main(["train", "--config", str(cfg), "--out", str(out)])
         # retrain artifacts are for a [2,6] hierarchy; rebuild matching data
         from seal.datagen import generate_synthetic, save_features_csv
         from seal.hierarchy import balanced_hierarchy, save_hierarchy
@@ -172,7 +191,7 @@ class TestEvalCommand:
             fh.write("id,level_1,level_2\n")
             for i in range(len(ds)):
                 fh.write(f"{i},{ds.labels[i,0]},{ds.labels[i,1]}\n")
-        code = run([
+        code = main([
             "eval", "--pred", str(tmp_path / "pred2.csv"),
             "--truth", str(tmp_path / "feats.csv"),
             "--hierarchy", str(tmp_path / "h2.json"),
@@ -188,20 +207,25 @@ class TestEvalCommand:
 
 class TestVerifyTheory:
     def test_all_checks_pass(self, capsys):
-        assert run(["verify-theory", "--trials", "60", "--seed", "1"]) == 0
+        assert main(["verify-theory", "--trials", "60", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
     def test_bad_trials_exit_one(self, capsys):
-        assert run(["verify-theory", "--trials", "0"]) == 1
+        assert main(["verify-theory", "--trials", "0"]) == 1
+
+    def test_bad_thread_env_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("SEAL_THREADS", "abc")
+        assert main(["verify-theory", "--trials", "1"]) == 1
+        assert "SEAL_THREADS" in capsys.readouterr().err
 
 
 class TestReport:
     def test_summary_and_curves(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
-        run(["train", "--config", str(cfg), "--out", str(out)])
-        assert run(["report", "--run", str(out)]) == 0
+        main(["train", "--config", str(cfg), "--out", str(out)])
+        assert main(["report", "--run", str(out)]) == 0
         curves = (out / "curves.csv").read_text().splitlines()
         assert len(curves) == 4  # header + 3 epochs
         assert curves[0].split(",")[0] == "epoch"
@@ -210,20 +234,29 @@ class TestReport:
         assert "all" in summary["final"]
 
     def test_missing_metrics_exit_one(self, tmp_path, capsys):
-        assert run(["report", "--run", str(tmp_path)]) == 1
+        assert main(["report", "--run", str(tmp_path)]) == 1
 
     def test_corrupt_line_names_line_number(self, tmp_path, capsys):
         run_dir = tmp_path / "r"
         run_dir.mkdir()
         (run_dir / "metrics.jsonl").write_text('{"epoch": 0}\nnot json\n')
-        assert run(["report", "--run", str(run_dir)]) == 1
+        assert main(["report", "--run", str(run_dir)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ['{"final": ', "[1, 2]"])
+    def test_corrupt_final_names_file(self, tmp_path, capsys, content):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text('{"epoch": 0}\n')
+        (run_dir / "final.json").write_text(content)
+        assert main(["report", "--run", str(run_dir)]) == 1
+        assert "final.json" in capsys.readouterr().err
 
     def test_empty_metrics_exit_one(self, tmp_path, capsys):
         run_dir = tmp_path / "r"
         run_dir.mkdir()
         (run_dir / "metrics.jsonl").write_text("")
-        assert run(["report", "--run", str(run_dir)]) == 1
+        assert main(["report", "--run", str(run_dir)]) == 1
 
 
 class TestDeterminism:

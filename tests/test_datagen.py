@@ -205,14 +205,6 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             Dataset(np.zeros((1, 4)), labels, spec)
 
-    def test_sample_indexing(self):
-        spec = two_level_spec()
-        ds = generate_synthetic(spec, per_class=2, dim=4, spreads=[10, 1, 0.1], seed=0)
-        s = ds[3]
-        np.testing.assert_array_equal(s.features, ds.features[3])
-        assert s.labels.tolist() == ds.labels[3].tolist()
-        assert not s.is_labelled
-
     def test_generated_labels_always_consistent(self):
         # property: random specs and seeds produce ancestry-consistent labels
         rng = np.random.default_rng(21)

@@ -131,14 +131,6 @@ class TestFuseHierarchy:
             fuse_hierarchy([ones, eye]), [[1.0, 0.5], [0.5, 1.0]]
         )
 
-    def test_alternative_modes(self):
-        ones = np.ones((2, 2))
-        eye = np.eye(2)
-        np.testing.assert_allclose(fuse_hierarchy([ones, eye], mode="max"), ones)
-        np.testing.assert_allclose(
-            fuse_hierarchy([ones, eye], mode="pairmean"), [[1.0, 0.5], [0.5, 1.0]]
-        )
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             fuse_hierarchy([np.ones((2, 2)), np.ones((3, 3))])
@@ -165,13 +157,6 @@ class TestSoftLabels:
             mid = soft_labels(s, alpha * l1 + (1 - alpha) * l2)
             combo = alpha * soft_labels(s, l1) + (1 - alpha) * soft_labels(s, l2)
             np.testing.assert_allclose(mid, combo, atol=1e-12)
-
-    def test_clamp_switch(self):
-        s = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        clamped = soft_labels(s, 1.0, clamp=True)
-        assert clamped[0, 1] == 0.0
-        unclamped = soft_labels(s, 1.0, clamp=False)
-        assert unclamped[0, 1] == -0.5
 
 
 class TestHybridSim:
@@ -437,5 +422,3 @@ class TestHelpers:
             LossConfig(tau=0.0)
         with pytest.raises(InputError):
             LossConfig(balance=1.5)
-        with pytest.raises(InputError):
-            LossConfig(fuse_mode="median")

@@ -9,7 +9,6 @@ from seal.errors import DataFormatError, InputError, NumericError
 from seal.hierarchy import balanced_hierarchy
 from seal.model import (
     ModelState,
-    aggregate,
     backward,
     forward,
     init_model,
@@ -17,7 +16,6 @@ from seal.model import (
     renormalize_prototypes,
     save_checkpoint,
     slice_widths,
-    tangent_project,
 )
 
 FD_STEP = 1e-6
@@ -81,7 +79,7 @@ def frozen_head_scores(state, x, level, frozen_slices):
         trace.z_slices[k] if k < level else frozen_slices[k]
         for k in range(state.levels)
     ]
-    z_cat, _ = aggregate(slices, state.levels)
+    z_cat = np.concatenate(slices, axis=1)
     z_hat = z_cat / np.linalg.norm(z_cat, axis=1, keepdims=True)
     return z_hat @ state.prototypes[level - 1].T
 
@@ -140,27 +138,6 @@ class TestForward:
         state, _ = tiny_state()
         with pytest.raises(InputError):
             forward(state, np.zeros((0, 4)))
-
-
-class TestAggregate:
-    def test_value_identical_across_levels(self):
-        state, _ = tiny_state()
-        trace = forward(state, np.random.default_rng(3).standard_normal((4, 4)))
-        values = [aggregate(trace.z_slices, lvl)[0] for lvl in range(1, 4)]
-        np.testing.assert_array_equal(values[0], values[1])
-        np.testing.assert_array_equal(values[0], values[2])
-
-    def test_mask_at_finest_level_blocks_nothing(self):
-        state, _ = tiny_state()
-        trace = forward(state, np.random.default_rng(4).standard_normal((2, 4)))
-        _, blocked = aggregate(trace.z_slices, 3)
-        assert not blocked.any()
-
-    def test_mask_blocks_finer_slices(self):
-        state, _ = tiny_state()
-        trace = forward(state, np.random.default_rng(5).standard_normal((2, 4)))
-        _, blocked = aggregate(trace.z_slices, 1)
-        assert blocked.tolist() == [False, True, True]
 
 
 class TestBackward:
@@ -236,16 +213,6 @@ class TestBackward:
         moved = float((frozen_head_scores(probe, x, 1, frozen) * upstream).sum())
         assert moved == base
 
-    def test_prototype_gradient_orthogonal_after_projection(self):
-        state, _ = tiny_state(seed=7)
-        rng = np.random.default_rng(11)
-        trace = forward(state, rng.standard_normal((4, 4)))
-        upstream = rng.standard_normal(trace.scores[2].shape)
-        grads = backward(state, trace, d_scores=[None, None, upstream])
-        projected = tangent_project(grads.prototypes[2], state.prototypes[2])
-        dots = (projected * state.prototypes[2]).sum(axis=1)
-        np.testing.assert_allclose(dots, 0.0, atol=1e-12)
-
 
 class TestPrototypeNorms:
     def test_renormalize_restores_unit_rows(self):
@@ -284,6 +251,27 @@ class TestCheckpoint:
         (tmp_path / "model.seal.meta.json").write_text("{}")
         with pytest.raises(DataFormatError, match="magic"):
             load_checkpoint(path)
+
+    def test_every_truncation_is_a_format_error(self, tmp_path):
+        state, _ = tiny_state()
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state)
+        full = path.read_bytes()
+        for cut in range(len(full)):
+            path.write_bytes(full[:cut])
+            with pytest.raises(DataFormatError) as info:
+                load_checkpoint(path)
+            assert str(path) in str(info.value), cut
+
+    @pytest.mark.parametrize("content", ['{"levels": ', "[]", '{"levels": 3}'])
+    def test_unreadable_sidecar_rejected(self, tmp_path, content):
+        state, _ = tiny_state()
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state)
+        (tmp_path / "model.seal.meta.json").write_text(content)
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         state, _ = tiny_state()

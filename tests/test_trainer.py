@@ -32,6 +32,22 @@ def tiny_dataset(counts=(2, 6), per_class=12, dim=8, seed=3):
     return spec, ds, split
 
 
+def spy_refreshes(monkeypatch):
+    """Record the transition matrices each refresh returns."""
+    import seal.trainer as trainer_mod
+
+    original = trainer_mod._refresh_transitions
+    calls = []
+
+    def spy(*args):
+        out = original(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(trainer_mod, "_refresh_transitions", spy)
+    return calls
+
+
 class TestSchedules:
     def test_cosine_endpoints(self):
         assert cosine_lr(0, 100, 0.1, 1e-4) == pytest.approx(0.1)
@@ -169,29 +185,30 @@ class TestTrainLoop:
             lasts.append(rec.epochs[-1]["loss_total"])
         assert np.mean(lasts) < np.mean(firsts)
 
-    def test_known_transition_rows_stay_one_hot(self):
+    def test_known_transition_rows_stay_one_hot(self, monkeypatch):
         spec, ds, split = tiny_dataset()
-        tc = TrainConfig(epochs=3, batch_size=8, seed=2, transition_update="batch")
-        captured = {}
-
-        import seal.trainer as trainer_mod
-
-        original = trainer_mod._refresh_transitions
-
-        def spy(state, features, transitions, tau_c, momentum):
-            out = original(state, features, transitions, tau_c, momentum)
-            captured["transitions"] = out
-            return out
-
-        trainer_mod._refresh_transitions = spy
-        try:
-            train(ds, split, spec, 2, tc, LossConfig(), ModelConfig(hidden=(6,), proj_dim=6))
-        finally:
-            trainer_mod._refresh_transitions = original
-        tm = captured["transitions"][0]
+        tc = TrainConfig(epochs=3, batch_size=8, seed=2)
+        refreshes = spy_refreshes(monkeypatch)
+        train(ds, split, spec, 2, tc, LossConfig(), ModelConfig(hidden=(6,), proj_dim=6))
+        assert len(refreshes) == tc.epochs  # once per epoch with CGC on
+        tm = refreshes[-1][0]
         for k in sorted(split.old_classes):
             row = tm.entries[k]
             assert row.max() == 1.0 and row.min() == 0.0
+
+    def test_no_refresh_when_nothing_reads_transitions(self, monkeypatch):
+        spec, ds, split = tiny_dataset()
+        flat = HierarchySpec(counts=(spec.num_fine,))
+        mc = ModelConfig(hidden=(6,), proj_dim=6)
+        refreshes = spy_refreshes(monkeypatch)
+        _, rec = train(ds, split, flat, 2, TrainConfig(epochs=2, batch_size=8, seed=2),
+                       LossConfig(), mc)
+        assert rec.final["transition_row_sums_ok"]
+        _, rec = train(ds, split, spec, 2,
+                       TrainConfig(epochs=2, batch_size=8, seed=2, use_cgc=False),
+                       LossConfig(), mc)
+        assert rec.final["transition_row_sums_ok"]
+        assert refreshes == []
 
     def test_single_level_runs_without_cgc(self):
         spec, ds, split = tiny_dataset()
