@@ -1,8 +1,8 @@
 """The sliced encoder and its per-level gradient masks.
 
 Runs a forward pass, shows that every level reads the same concatenated
-feature while backward zeroes a coarse head's gradient into the
-projection columns of finer slices, and validates one analytic gradient
+feature while backward passes a coarse head's gradient to no
+projection column of a finer slice, and validates one analytic gradient
 against central finite differences.
 """
 
@@ -24,8 +24,8 @@ print("every head reads one feature of norm",
 print("\nprobability row sums per level:",
       [float(p.sum(axis=1).mean()) for p in trace.probs])
 
-# gradient from one head at a time: backward zeroes the head's gradient
-# into the projection columns of every finer slice
+# gradient from one head at a time: backward forms each head's gradient
+# over its own and coarser slices only, so finer slices' columns get none
 bounds = state.slice_bounds
 rng = np.random.default_rng(2)
 print("\nmax |grad| into each slice's projection columns, per head:")

@@ -157,23 +157,67 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-_DATA_KEYS = {
-    "features", "hierarchy", "synthetic",
-    "old_fraction", "labelled_fraction", "split_seed",
+# the data section's own keys and the types JSON must give them; 'synthetic'
+# is a section of its own, checked against generate_synthetic below
+_DATA_TYPES = {
+    "features": str, "hierarchy": str, "synthetic": dict,
+    "old_fraction": float, "labelled_fraction": float, "split_seed": int,
 }
-_SYNTH_KEYS = {"counts", "per_class", "dim", "spreads", "seed", "imbalance"}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _type_ok(value, expected) -> bool:
+    """Whether a parsed JSON value fits an annotation: no bool for a
+    number, an int for a float, a list for a sequence or tuple type."""
+    import types
+    import typing
+
+    if isinstance(expected, types.UnionType):
+        return any(_type_ok(value, t) for t in typing.get_args(expected))
+    if expected is type(None):
+        return value is None
+    if expected is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if expected is float:
+        return isinstance(value, (int, float))
+    origin = typing.get_origin(expected)
+    if origin is not None:
+        item = typing.get_args(expected)[0]
+        return isinstance(value, list) and all(_type_ok(v, item) for v in value)
+    return isinstance(value, expected)
+
+
+def _type_name(expected) -> str:
+    if expected is dict:
+        return "a JSON object"
+    return expected.__name__ if isinstance(expected, type) else str(expected)
+
+
+def _check_section(section, types: dict, path, name: str = "") -> None:
+    """A JSON object whose keys are all known and whose values fit their
+    types; anything else is an InputError naming path:name.key."""
+    where = f"{path}:{name}" if name else str(path)
+    if not isinstance(section, dict):
+        raise InputError(f"{where}: expected a JSON object, got {json.dumps(section)}")
+    unknown = set(section) - set(types)
     if unknown:
         raise InputError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    for key, value in section.items():
+        if not _type_ok(value, types[key]):
+            field = f"{name}.{key}" if name else key
+            raise InputError(
+                f"{path}:{field}: expected {_type_name(types[key])}, got {json.dumps(value)}"
+            )
 
 
 def load_run_config(path) -> dict:
-    """Parse and validate a train config JSON; unknown keys are errors."""
-    from dataclasses import fields
+    """Parse and validate a train config JSON: every section must be an
+    object, unknown keys are errors, and each value must fit the type of
+    the config field or generate_synthetic parameter it sets."""
+    import typing
 
+    from .datagen import generate_synthetic
     from .losses import LossConfig
     from .trainer import ModelConfig, TrainConfig
 
@@ -184,18 +228,22 @@ def load_run_config(path) -> dict:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    _check_keys(doc, {"seed", "data", "train", "loss", "model"}, str(path))
+    _check_section(
+        doc, {"seed": int, "data": dict, "train": dict, "loss": dict, "model": dict}, path
+    )
     data = doc.get("data", {})
-    _check_keys(data, _DATA_KEYS, f"{path}:data")
+    _check_section(data, _DATA_TYPES, path, "data")
     if "synthetic" in data:
-        _check_keys(data["synthetic"], _SYNTH_KEYS, f"{path}:data.synthetic")
+        synth_types = typing.get_type_hints(generate_synthetic)
+        del synth_types["spec"], synth_types["return"]
+        synth_types["counts"] = list[int]  # for balanced_hierarchy
+        _check_section(data["synthetic"], synth_types, path, "data.synthetic")
     elif "features" not in data or "hierarchy" not in data:
         raise InputError(
             f"{path}: data section needs either 'synthetic' or 'features'+'hierarchy'"
         )
     for section, cls in (("train", TrainConfig), ("loss", LossConfig), ("model", ModelConfig)):
-        allowed = {f.name for f in fields(cls)}
-        _check_keys(doc.get(section, {}), allowed, f"{path}:{section}")
+        _check_section(doc.get(section, {}), typing.get_type_hints(cls), path, section)
     return doc
 
 
@@ -283,6 +331,8 @@ def _read_label_csv(path, levels: int):
                 labels.append([int(row[c]) for c in wanted])
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: row {row_num}: {exc}") from exc
+    if not ids:
+        raise DataFormatError(f"{path}: no label rows")
     return np.asarray(ids), np.asarray(labels, dtype=np.int64)
 
 
@@ -362,11 +412,16 @@ def _cmd_report(args) -> int:
             if not line.strip():
                 continue
             try:
-                entries.append(json.loads(line))
+                entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(
                     f"{metrics_path}: line {line_num}: invalid JSON ({exc})"
                 ) from exc
+            if not isinstance(entry, dict):
+                raise DataFormatError(
+                    f"{metrics_path}: line {line_num}: expected a JSON object, got {line.strip()}"
+                )
+            entries.append(entry)
     if not entries:
         raise InputError(f"{metrics_path}: no metric entries")
 

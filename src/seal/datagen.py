@@ -11,6 +11,7 @@ from the known ("old") classes and an unlabelled remainder.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def generate_synthetic(
     spec: HierarchySpec,
     per_class: int = 100,
     dim: int = 32,
-    spreads=None,
+    spreads: Sequence[float] | None = None,
     seed: int = 0,
     imbalance: float = 1.0,
 ) -> Dataset:
@@ -133,6 +134,14 @@ def generate_synthetic(
     imbalance r < 1 per-class counts decay geometrically from per_class
     down to r * per_class across fine classes (a long-tailed profile).
     Deterministic for a fixed seed.
+
+    Centroids and per-sample noise come from one stream in a fixed
+    order, so a draw with the same seed and a larger per_class repeats
+    rows of the smaller draw: with balanced classes, class k row j of the
+    larger draw equals class k row j + k * (larger - smaller) of the
+    smaller one while that row exists (all of class 0's rows, for a
+    start). Such a draw is not a held-out set until the shared rows are
+    dropped.
     """
     if per_class < 1:
         raise InputError(f"per_class must be positive, got {per_class}")

@@ -155,7 +155,8 @@ def similarity_matrix(features: np.ndarray) -> np.ndarray:
 
 def fuse_hierarchy(sims: list[np.ndarray]) -> np.ndarray:
     """Fuse the level-h similarity matrix with its coarser counterparts:
-    the entrywise mean over levels 1..h."""
+    the entrywise mean over levels 1..h. The trainer forms the same mean,
+    bit for bit, as a running sum over the levels divided by h."""
     if not sims:
         raise InputError("need at least one similarity matrix")
     shape = sims[0].shape
@@ -224,16 +225,17 @@ def hscl_loss(
         raise InputError(f"soft-label matrix must be ({batch}, {batch}), got {soft.shape}")
 
     sims, unit, unit_p, norms, norms_p, dist = _pairwise_hybrid(z, z_prime, lam_c)
-    off_diag = ~np.eye(batch, dtype=bool)
-    masked = np.where(off_diag, sims, -np.inf)
+    masked = sims.copy()
+    np.fill_diagonal(masked, -np.inf)
     row_max = masked.max(axis=1, keepdims=True)
     exp_shift = np.exp(masked - row_max)
-    lse = row_max[:, 0] + np.log(exp_shift.sum(axis=1))
+    row_sum = exp_shift.sum(axis=1, keepdims=True)
+    lse = row_max[:, 0] + np.log(row_sum[:, 0])
     row_weight = soft.sum(axis=1)
     loss = float(-((soft * sims).sum() - row_weight @ lse) / batch)
 
     # d(loss)/d(sims): soft targets minus row-weighted denominator softmax
-    denom_soft = exp_shift / exp_shift.sum(axis=1, keepdims=True)
+    denom_soft = exp_shift / row_sum
     d_sims = -(soft - row_weight[:, None] * denom_soft) / batch
 
     # chain through the hybrid metric; the distance term differentiates

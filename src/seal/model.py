@@ -7,7 +7,9 @@ classifies the renormalized concatenation of all slices against its own
 set of unit-norm prototypes, but gradients from a level-h head are
 blocked from flowing into slices finer than h (the pass-through
 controller). Differentiation is manual reverse mode over a recorded
-forward trace, in float64 so finite-difference checks are meaningful.
+forward trace, in float64 so finite-difference checks are meaningful;
+the trace keeps each hidden layer's erf so that backward reuses it
+instead of evaluating it again.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
+    """Derivative of gelu at x, given erf_x = erf(x / sqrt(2)) from the
+    forward pass."""
+    return 0.5 * (1.0 + erf_x) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -138,12 +142,14 @@ def init_model(
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs: layer pre-activations and
-    activations, per-slice norms and normalized slices, the renormalized
-    aggregate, and per-level scores/logits/probabilities."""
+    """Everything the backward pass needs: layer pre-activations, the
+    erf(a / sqrt(2)) of each (which backward reuses for the activation
+    derivative) and activations, per-slice norms and normalized slices,
+    the renormalized aggregate, and per-level scores/logits/probabilities."""
 
     x: np.ndarray
     pre_activations: list[np.ndarray]
+    erfs: list[np.ndarray]
     activations: list[np.ndarray]
     z_raw: np.ndarray
     slice_norms: list[np.ndarray]
@@ -170,7 +176,7 @@ def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
         raise InputError("input must be a non-empty (batch, features) matrix")
     if x.shape[1] != state.in_dim:
         raise InputError(f"input dim {x.shape[1]} does not match encoder dim {state.in_dim}")
-    pre_acts, acts = [], []
+    pre_acts, erfs, acts = [], [], []
     h = x
     n_hidden = len(state.weights) - 1
     for layer in range(n_hidden):
@@ -178,7 +184,9 @@ def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
         if not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite activations in hidden layer {layer}")
         pre_acts.append(a)
-        h = gelu(a)
+        e = erf(a * _INV_SQRT2)
+        erfs.append(e)
+        h = 0.5 * a * (1.0 + e)  # gelu(a), keeping e for backward
         acts.append(h)
     z_raw = h @ state.weights[-1] + state.biases[-1]
     if not np.all(np.isfinite(z_raw)):
@@ -204,10 +212,11 @@ def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
         sc = z_hat @ protos.T
         scores.append(sc)
         logits.append(sc / state.tau)
-        probs.append(softmax(sc / state.tau))
+        probs.append(softmax(logits[-1]))
     return ForwardTrace(
         x=x,
         pre_activations=pre_acts,
+        erfs=erfs,
         activations=acts,
         z_raw=z_raw,
         slice_norms=slice_norms,
@@ -285,14 +294,19 @@ def backward(
             )
         grads.prototypes[lvl] += d_sc.T @ trace.z_hat
         d_hat = d_sc @ state.prototypes[lvl]
-        d_cat = _norm_backward(d_hat, trace.z_hat, trace.cat_norm)
-        # gradient controller: this head reaches slices 1..lvl+1 only
-        d_cat[:, bounds[lvl + 1] :] = 0.0
-        d_cat_total += d_cat
+        # backward through the aggregate's normalization; the radial term
+        # reads the full width, but the gradient controller lets this head
+        # reach slices 1..lvl+1 only, so only that prefix is formed
+        radial = (d_hat * trace.z_hat).sum(axis=1, keepdims=True)
+        live = bounds[lvl + 1]
+        d_cat_total[:, :live] += (
+            d_hat[:, :live] - radial * trace.z_hat[:, :live]
+        ) / trace.cat_norm
 
     d_raw = np.empty_like(trace.z_raw)
     for lvl in range(levels):
-        d_z = d_cat_total[:, bounds[lvl] : bounds[lvl + 1]].copy()
+        # a view: d_cat_total is not read again
+        d_z = d_cat_total[:, bounds[lvl] : bounds[lvl + 1]]
         if d_slices[lvl] is not None:
             d_extra = np.asarray(d_slices[lvl], dtype=np.float64)
             if d_extra.shape != trace.z_slices[lvl].shape:
@@ -312,7 +326,7 @@ def backward(
     d_h = d_raw @ state.weights[-1].T
     # hidden layers, last to first
     for layer in range(len(state.weights) - 2, -1, -1):
-        d_a = d_h * gelu_grad(trace.pre_activations[layer])
+        d_a = d_h * gelu_grad(trace.pre_activations[layer], trace.erfs[layer])
         h_prev = trace.activations[layer - 1] if layer > 0 else trace.x
         grads.weights[layer] += h_prev.T @ d_a
         grads.biases[layer] += d_a.sum(axis=0)

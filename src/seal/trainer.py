@@ -360,7 +360,12 @@ def _train_step(
     d_slices_b = [np.zeros_like(z) for z in trace_b.z_slices]
     components: dict[str, float] = {}
 
-    sims = [L.similarity_matrix(trace_a.z_slices[h]) for h in range(levels)]
+    smoothness = loss_cfg.soft_smoothness
+    # at smoothness 0 the soft targets are the identity, which is exactly
+    # what soft_labels returns then; otherwise level h fuses the running
+    # sum of the level-1..h similarities into their mean
+    soft = np.eye(x.shape[0]) if smoothness == 0 else None
+    sim_sum = 0.0
     cls_sum = hscl_sum = sup_sum = 0.0
     for h in range(levels):
         labels_h = batch_labels[h]
@@ -372,7 +377,9 @@ def _train_step(
         d_scores_a[h] += d_log_a / (2.0 * state.tau)
         d_scores_b[h] += d_log_b / (2.0 * state.tau)
 
-        soft = L.soft_labels(L.fuse_hierarchy(sims[: h + 1]), loss_cfg.soft_smoothness)
+        if smoothness:
+            sim_sum = sim_sum + L.similarity_matrix(trace_a.z_slices[h])
+            soft = L.soft_labels(sim_sum / (h + 1), smoothness)
         hscl, dza, dzb = L.hscl_loss(trace_a.z_slices[h], trace_b.z_slices[h], soft, lam_c)
         hscl_sum += hscl
         weight_u = 1.0 - loss_cfg.balance

@@ -40,6 +40,17 @@ def write_config(tmp_path, overrides=None):
     return path
 
 
+def set_field(doc, dotted, value):
+    """A deep copy of doc with the dotted field (e.g. "loss.tau") set."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = dotted.split(".")
+    target = doc
+    for name in outer:
+        target = target[name]
+    target[last] = value
+    return doc
+
+
 class TestGenerate:
     def test_writes_dataset_files(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -130,6 +141,56 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "unknown key" in err and key in err
 
+    @pytest.mark.parametrize("field, value, expected", [
+        (None, [1, 2], "config.json: expected a JSON object"),
+        ("train", [1], "config.json:train: expected a JSON object"),
+        ("train.epochs", "x", "config.json:train.epochs: expected int"),
+        ("train.epochs", True, "config.json:train.epochs: expected int"),
+        ("train.use_cgc", 1, "config.json:train.use_cgc: expected bool"),
+        ("loss.tau", "0.1", "config.json:loss.tau: expected float"),
+        ("model.hidden", [6, "a"], "config.json:model.hidden: expected tuple[int, ...]"),
+        ("data.synthetic.dim", "8", "config.json:data.synthetic.dim: expected int"),
+        ("data.synthetic.counts", [2.0, 6], "config.json:data.synthetic.counts: expected list[int]"),
+    ])
+    def test_mistyped_config_names_field(self, tmp_path, capsys, field, value, expected):
+        doc = value if field is None else set_field(TINY_CONFIG, field, value)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("loss.tau", 1),  # an int where a float is expected
+        ("loss.curriculum_horizon", None),
+        ("model.proj_dim", None),
+        ("data.synthetic.spreads", None),
+    ])
+    def test_well_typed_values_accepted(self, tmp_path, field, value):
+        from seal.cli import load_run_config
+
+        doc = set_field(TINY_CONFIG, field, value)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert load_run_config(cfg) == doc
+
+    def test_criterion_8_config_loads(self, tmp_path):
+        from seal.cli import load_run_config
+
+        doc = {
+            "seed": 9,
+            "data": {
+                "synthetic": {"counts": [2, 6], "per_class": 12, "dim": 8,
+                              "spreads": [6, 2, 0.5], "seed": 2},
+                "old_fraction": 0.5, "labelled_fraction": 0.5, "split_seed": 2,
+            },
+            "train": {"epochs": 4, "batch_size": 8},
+            "loss": {},
+            "model": {"hidden": [8], "proj_dim": 8},
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert load_run_config(cfg) == doc
+
     def test_unknown_flag_exit_one(self, capsys):
         assert main(["train", "--confg", "x.json"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -173,6 +234,17 @@ class TestEvalCommand:
             "--hierarchy", str(tmp_path / "h.json"),
         ])
         assert code == 1
+
+    def test_empty_label_file_named(self, tmp_path, capsys):
+        self._write_files(tmp_path)
+        (tmp_path / "empty.csv").write_text("id,level_1,level_2\n")
+        code = main([
+            "eval", "--pred", str(tmp_path / "empty.csv"),
+            "--truth", str(tmp_path / "truth.csv"),
+            "--hierarchy", str(tmp_path / "h.json"),
+        ])
+        assert code == 1
+        assert "empty.csv: no label rows" in capsys.readouterr().err
 
     def test_projection_dump(self, tmp_path, capsys):
         self._write_files(tmp_path)
@@ -242,6 +314,14 @@ class TestReport:
         (run_dir / "metrics.jsonl").write_text('{"epoch": 0}\nnot json\n')
         assert main(["report", "--run", str(run_dir)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_object_line_names_line_number(self, tmp_path, capsys):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text('{"epoch": 0}\n3\n')
+        assert main(["report", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "metrics.jsonl: line 2: expected a JSON object" in err
 
     @pytest.mark.parametrize("content", ['{"final": ', "[1, 2]"])
     def test_corrupt_final_names_file(self, tmp_path, capsys, content):

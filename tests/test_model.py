@@ -4,6 +4,7 @@ checkpoint container."""
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from seal.errors import DataFormatError, InputError, NumericError
 from seal.hierarchy import balanced_hierarchy
@@ -11,6 +12,7 @@ from seal.model import (
     ModelState,
     backward,
     forward,
+    gelu,
     init_model,
     load_checkpoint,
     renormalize_prototypes,
@@ -20,6 +22,8 @@ from seal.model import (
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def tiny_state(seed=0):
@@ -122,6 +126,15 @@ class TestForward:
         expected = np.e / (np.e + 1.0)
         np.testing.assert_allclose(trace.probs[0][0, 0], expected, atol=1e-12)
 
+    def test_trace_keeps_erf_of_each_hidden_layer(self):
+        spec = balanced_hierarchy([2, 3, 6])
+        state = init_model(spec, in_dim=4, hidden=(5, 7), proj_dim=6, seed=2)
+        trace = forward(state, np.random.default_rng(3).standard_normal((4, 4)))
+        assert len(trace.erfs) == len(trace.pre_activations) == 2
+        for pre, e, act in zip(trace.pre_activations, trace.erfs, trace.activations):
+            assert np.array_equal(e, erf(pre * INV_SQRT2))
+            assert np.array_equal(act, gelu(pre))
+
     def test_slice_widths_split(self):
         assert slice_widths(6, 3) == [2, 2, 2]
         assert slice_widths(7, 3) == [2, 2, 3]
@@ -140,7 +153,58 @@ class TestForward:
             forward(state, np.zeros((0, 4)))
 
 
+def reference_backward(state, trace, d_scores, d_slices):
+    """The plain form of backward: every head's norm backward runs over the
+    full width and then has the blocked suffix zeroed, and the activation
+    derivative evaluates erf afresh. Returns the gradients as (weights,
+    biases, prototypes) lists."""
+
+    def norm_back(d, unit, norms):
+        return (d - (d * unit).sum(axis=1, keepdims=True) * unit) / norms
+
+    bounds = state.slice_bounds
+    d_cat_total = np.zeros_like(trace.z_hat)
+    protos = []
+    for lvl, d_sc in enumerate(d_scores):
+        protos.append(d_sc.T @ trace.z_hat)
+        d_cat = norm_back(d_sc @ state.prototypes[lvl], trace.z_hat, trace.cat_norm)
+        d_cat[:, bounds[lvl + 1] :] = 0.0
+        d_cat_total += d_cat
+    d_raw = np.empty_like(trace.z_raw)
+    for lvl in range(state.levels):
+        lo, hi = bounds[lvl], bounds[lvl + 1]
+        d_z = d_cat_total[:, lo:hi].copy() + d_slices[lvl]
+        d_raw[:, lo:hi] = norm_back(d_z, trace.z_slices[lvl], trace.slice_norms[lvl])
+    weights = [None] * len(state.weights)
+    biases = [None] * len(state.biases)
+    weights[-1] = trace.activations[-1].T @ d_raw
+    biases[-1] = d_raw.sum(axis=0)
+    d_h = d_raw @ state.weights[-1].T
+    for layer in range(len(state.weights) - 2, -1, -1):
+        a = trace.pre_activations[layer]
+        grad = 0.5 * (1.0 + erf(a * INV_SQRT2)) + a * INV_SQRT2PI * np.exp(-0.5 * a * a)
+        d_a = d_h * grad
+        h_prev = trace.activations[layer - 1] if layer > 0 else trace.x
+        weights[layer] = h_prev.T @ d_a
+        biases[layer] = d_a.sum(axis=0)
+        d_h = d_a @ state.weights[layer].T
+    return weights, biases, protos
+
+
 class TestBackward:
+    def test_matches_full_width_reference_bitwise(self):
+        spec = balanced_hierarchy([2, 3, 6])
+        state = init_model(spec, in_dim=4, hidden=(5, 7), proj_dim=10, seed=11)
+        rng = np.random.default_rng(12)
+        trace = forward(state, rng.standard_normal((6, 4)))
+        d_scores = [rng.standard_normal(s.shape) for s in trace.scores]
+        d_slices = [rng.standard_normal(z.shape) for z in trace.z_slices]
+        grads = backward(state, trace, d_scores=d_scores, d_slices=d_slices)
+        weights, biases, protos = reference_backward(state, trace, d_scores, d_slices)
+        for mine, ref in zip(grads.weights + grads.biases + grads.prototypes,
+                             weights + biases + protos):
+            assert np.array_equal(mine, ref)
+
     def test_zero_upstream_gives_zero_grads(self):
         state, _ = tiny_state()
         trace = forward(state, np.random.default_rng(6).standard_normal((3, 4)))

@@ -32,11 +32,9 @@ def tiny_dataset(counts=(2, 6), per_class=12, dim=8, seed=3):
     return spec, ds, split
 
 
-def spy_refreshes(monkeypatch):
-    """Record the transition matrices each refresh returns."""
-    import seal.trainer as trainer_mod
-
-    original = trainer_mod._refresh_transitions
+def spy_on(monkeypatch, module, name):
+    """Record what each call of module.name returns."""
+    original = getattr(module, name)
     calls = []
 
     def spy(*args):
@@ -44,8 +42,15 @@ def spy_refreshes(monkeypatch):
         calls.append(out)
         return out
 
-    monkeypatch.setattr(trainer_mod, "_refresh_transitions", spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def spy_refreshes(monkeypatch):
+    """Record the transition matrices each refresh returns."""
+    import seal.trainer as trainer_mod
+
+    return spy_on(monkeypatch, trainer_mod, "_refresh_transitions")
 
 
 class TestSchedules:
@@ -209,6 +214,20 @@ class TestTrainLoop:
                        LossConfig(), mc)
         assert rec.final["transition_row_sums_ok"]
         assert refreshes == []
+
+    def test_similarities_only_when_soft_targets_use_them(self, monkeypatch):
+        import seal.losses as losses_mod
+
+        spec, ds, split = tiny_dataset()
+        tc = TrainConfig(epochs=2, batch_size=8, seed=2)
+        mc = ModelConfig(hidden=(6,), proj_dim=6)
+        sims = spy_on(monkeypatch, losses_mod, "similarity_matrix")
+        train(ds, split, spec, 2, tc, LossConfig(soft_smoothness=0.0), mc)
+        assert sims == []  # the targets are the identity
+        train(ds, split, spec, 2, tc, LossConfig(soft_smoothness=0.01), mc)
+        train_lab, _ = validation_split(split.labelled, tc.val_fraction, tc.seed)
+        steps = tc.epochs * math.ceil((train_lab.size + split.unlabelled.size) / tc.batch_size)
+        assert len(sims) == spec.levels * steps  # one per level per step
 
     def test_single_level_runs_without_cgc(self):
         spec, ds, split = tiny_dataset()
