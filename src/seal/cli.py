@@ -157,20 +157,23 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-# the data section's own keys and the types JSON must give them; 'synthetic'
-# is a section of its own, checked against generate_synthetic below
+# the data section's own keys; 'synthetic' is a section of its own, checked
+# against generate_synthetic below, and build_run converts the others
 _DATA_TYPES = {
-    "features": str, "hierarchy": str, "synthetic": dict,
-    "old_fraction": float, "labelled_fraction": float, "split_seed": int,
+    "features": object, "hierarchy": object, "synthetic": dict,
+    "old_fraction": object, "labelled_fraction": object, "split_seed": object,
 }
 
 
 def _type_ok(value, expected) -> bool:
-    """Whether a parsed JSON value fits an annotation: no bool for a
-    number, an int for a float, a list for a sequence or tuple type."""
+    """Whether a parsed JSON value fits an annotation: anything for
+    object, no bool for a number, an int for a float, a list for a
+    sequence or tuple type."""
     import types
     import typing
 
+    if expected is object:
+        return True
     if isinstance(expected, types.UnionType):
         return any(_type_ok(value, t) for t in typing.get_args(expected))
     if expected is type(None):
@@ -213,8 +216,9 @@ def _check_section(section, types: dict, path, name: str = "") -> None:
 
 def load_run_config(path) -> dict:
     """Parse and validate a train config JSON: every section must be an
-    object, unknown keys are errors, and each value must fit the type of
-    the config field or generate_synthetic parameter it sets."""
+    object, unknown keys are errors, and each train/loss/model and
+    data.synthetic value must fit the type of the config field or
+    generate_synthetic parameter it sets."""
     import typing
 
     from .datagen import generate_synthetic
@@ -229,7 +233,7 @@ def load_run_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     _check_section(
-        doc, {"seed": int, "data": dict, "train": dict, "loss": dict, "model": dict}, path
+        doc, {"seed": object, "data": dict, "train": dict, "loss": dict, "model": dict}, path
     )
     data = doc.get("data", {})
     _check_section(data, _DATA_TYPES, path, "data")

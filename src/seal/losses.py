@@ -155,8 +155,7 @@ def similarity_matrix(features: np.ndarray) -> np.ndarray:
 
 def fuse_hierarchy(sims: list[np.ndarray]) -> np.ndarray:
     """Fuse the level-h similarity matrix with its coarser counterparts:
-    the entrywise mean over levels 1..h. The trainer forms the same mean,
-    bit for bit, as a running sum over the levels divided by h."""
+    the entrywise mean over levels 1..h."""
     if not sims:
         raise InputError("need at least one similarity matrix")
     shape = sims[0].shape

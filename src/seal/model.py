@@ -31,8 +31,10 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 PROTO_NORM_TOL = 1e-9
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+def gelu(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
+    """gelu at x, given erf_x = erf(x / sqrt(2)), which the forward pass
+    keeps for gelu_grad."""
+    return 0.5 * x * (1.0 + erf_x)
 
 
 def gelu_grad(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
@@ -186,7 +188,7 @@ def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
         pre_acts.append(a)
         e = erf(a * _INV_SQRT2)
         erfs.append(e)
-        h = 0.5 * a * (1.0 + e)  # gelu(a), keeping e for backward
+        h = gelu(a, e)
         acts.append(h)
     z_raw = h @ state.weights[-1] + state.biases[-1]
     if not np.all(np.isfinite(z_raw)):

@@ -362,10 +362,9 @@ def _train_step(
 
     smoothness = loss_cfg.soft_smoothness
     # at smoothness 0 the soft targets are the identity, which is exactly
-    # what soft_labels returns then; otherwise level h fuses the running
-    # sum of the level-1..h similarities into their mean
+    # what soft_labels returns then, so no similarity is computed
     soft = np.eye(x.shape[0]) if smoothness == 0 else None
-    sim_sum = 0.0
+    sims: list[np.ndarray] = []
     cls_sum = hscl_sum = sup_sum = 0.0
     for h in range(levels):
         labels_h = batch_labels[h]
@@ -378,8 +377,8 @@ def _train_step(
         d_scores_b[h] += d_log_b / (2.0 * state.tau)
 
         if smoothness:
-            sim_sum = sim_sum + L.similarity_matrix(trace_a.z_slices[h])
-            soft = L.soft_labels(sim_sum / (h + 1), smoothness)
+            sims.append(L.similarity_matrix(trace_a.z_slices[h]))
+            soft = L.soft_labels(L.fuse_hierarchy(sims), smoothness)
         hscl, dza, dzb = L.hscl_loss(trace_a.z_slices[h], trace_b.z_slices[h], soft, lam_c)
         hscl_sum += hscl
         weight_u = 1.0 - loss_cfg.balance

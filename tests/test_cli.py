@@ -173,24 +173,6 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert load_run_config(cfg) == doc
 
-    def test_criterion_8_config_loads(self, tmp_path):
-        from seal.cli import load_run_config
-
-        doc = {
-            "seed": 9,
-            "data": {
-                "synthetic": {"counts": [2, 6], "per_class": 12, "dim": 8,
-                              "spreads": [6, 2, 0.5], "seed": 2},
-                "old_fraction": 0.5, "labelled_fraction": 0.5, "split_seed": 2,
-            },
-            "train": {"epochs": 4, "batch_size": 8},
-            "loss": {},
-            "model": {"hidden": [8], "proj_dim": 8},
-        }
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(doc))
-        assert load_run_config(cfg) == doc
-
     def test_unknown_flag_exit_one(self, capsys):
         assert main(["train", "--confg", "x.json"]) == 1
         assert "usage error" in capsys.readouterr().err

@@ -133,7 +133,7 @@ class TestForward:
         assert len(trace.erfs) == len(trace.pre_activations) == 2
         for pre, e, act in zip(trace.pre_activations, trace.erfs, trace.activations):
             assert np.array_equal(e, erf(pre * INV_SQRT2))
-            assert np.array_equal(act, gelu(pre))
+            assert np.array_equal(act, gelu(pre, erf(pre * INV_SQRT2)))
 
     def test_slice_widths_split(self):
         assert slice_widths(6, 3) == [2, 2, 2]
