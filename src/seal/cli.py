@@ -229,8 +229,8 @@ def load_run_config(path) -> dict:
     if not path.exists():
         raise InputError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     _check_section(
         doc, {"seed": object, "data": dict, "train": dict, "loss": dict, "model": dict}, path
@@ -321,20 +321,23 @@ def _read_label_csv(path, levels: int):
     if not path.exists():
         raise DataFormatError(f"{path}: no such file")
     wanted = [f"level_{h}" for h in range(1, levels + 1)]
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None or "id" not in reader.fieldnames:
-            raise DataFormatError(f"{path}: missing 'id' column")
-        missing = [c for c in wanted if c not in reader.fieldnames]
-        if missing:
-            raise DataFormatError(f"{path}: missing label columns {missing}")
-        ids, labels = [], []
-        for row_num, row in enumerate(reader):
-            try:
-                ids.append(int(row["id"]))
-                labels.append([int(row[c]) for c in wanted])
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: row {row_num}: {exc}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = _csv.DictReader(fh)
+            if reader.fieldnames is None or "id" not in reader.fieldnames:
+                raise DataFormatError(f"{path}: missing 'id' column")
+            missing = [c for c in wanted if c not in reader.fieldnames]
+            if missing:
+                raise DataFormatError(f"{path}: missing label columns {missing}")
+            ids, labels = [], []
+            for row_num, row in enumerate(reader):
+                try:
+                    ids.append(int(row["id"]))
+                    labels.append([int(row[c]) for c in wanted])
+                except (TypeError, ValueError) as exc:
+                    raise DataFormatError(f"{path}: row {row_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not ids:
         raise DataFormatError(f"{path}: no label rows")
     return np.asarray(ids), np.asarray(labels, dtype=np.int64)
@@ -410,22 +413,25 @@ def _cmd_report(args) -> int:
     metrics_path = run_dir / "metrics.jsonl"
     if not metrics_path.exists():
         raise InputError(f"{metrics_path}: no such file")
+    try:
+        text = metrics_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{metrics_path}: not UTF-8 text ({exc})") from exc
     entries = []
-    with open(metrics_path) as fh:
-        for line_num, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(
-                    f"{metrics_path}: line {line_num}: invalid JSON ({exc})"
-                ) from exc
-            if not isinstance(entry, dict):
-                raise DataFormatError(
-                    f"{metrics_path}: line {line_num}: expected a JSON object, got {line.strip()}"
-                )
-            entries.append(entry)
+    for line_num, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(
+                f"{metrics_path}: line {line_num}: invalid JSON ({exc})"
+            ) from exc
+        if not isinstance(entry, dict):
+            raise DataFormatError(
+                f"{metrics_path}: line {line_num}: expected a JSON object, got {line.strip()}"
+            )
+        entries.append(entry)
     if not entries:
         raise InputError(f"{metrics_path}: no metric entries")
 
@@ -445,7 +451,7 @@ def _cmd_report(args) -> int:
     final_path = run_dir / "final.json"
     if final_path.exists():
         try:
-            final_doc = json.loads(final_path.read_text())
+            final_doc = json.loads(final_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"{final_path}: invalid JSON ({exc})") from exc
         if not isinstance(final_doc, dict):

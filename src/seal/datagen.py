@@ -3,14 +3,16 @@
 Synthetic features come from a tree-structured Gaussian mixture: level-1
 centroids sit on a sphere, each child centroid is its parent plus a
 Gaussian offset, and samples are leaf centroids plus noise. Real
-precomputed embeddings can be loaded from a headered CSV instead; either
-way the GCD protocol then partitions samples into a labelled set drawn
-from the known ("old") classes and an unlabelled remainder.
+precomputed embeddings can be loaded from a headered CSV instead, whose
+body is parsed in one numpy pass; either way the GCD protocol then
+partitions samples into a labelled set drawn from the known ("old")
+classes and an unlabelled remainder.
 """
 
 from __future__ import annotations
 
-import csv
+import re
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -247,33 +249,59 @@ def save_features_csv(path, dataset: Dataset, hide_labels_at=None, float32: bool
 
     hide_labels_at: optional index array whose rows get -1 labels at all
     levels (the unlabelled-set convention). float32 truncates feature
-    precision for smaller files.
+    precision for smaller files. Every value is written as the repr of
+    its Python int or float, comma-separated, with "\\r\\n" line ends:
+    the bytes csv.writer gives for the same rows.
     """
     spec = dataset.spec
     hidden = np.zeros(len(dataset), dtype=bool)
     if hide_labels_at is not None:
         hidden[np.asarray(hide_labels_at, dtype=np.int64)] = True
+    labels = np.where(hidden[:, None], -1, dataset.labels)
     feats = dataset.features.astype(np.float32) if float32 else dataset.features
     header = (
         ["id"]
         + [f"level_{h}" for h in range(1, spec.levels + 1)]
         + [f"f{j}" for j in range(dataset.dim)]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
         for i in range(len(dataset)):
-            labels = [-1] * spec.levels if hidden[i] else dataset.labels[i].tolist()
-            writer.writerow([i] + labels + [repr(float(v)) for v in feats[i]])
+            fields = [i, *labels[i].tolist(), *feats[i].tolist()]
+            fh.write(",".join(map(repr, fields)) + "\r\n")
+
+
+# how a feature CSV is split into fields: '#' is data, not a comment,
+# and a field may be quoted
+_CSV_FIELDS = {"delimiter": ",", "comments": None, "quotechar": '"'}
+
+
+def _fields(line: str) -> list[str]:
+    """The fields of one non-empty CSV line, split as the bulk parse
+    splits them."""
+    return np.loadtxt([line], dtype=str, ndmin=1, **_CSV_FIELDS).tolist()
+
+
+def _row_dtype(levels: int, dim: int) -> np.dtype:
+    """One CSV data row: the id (free text, zero-width, so never
+    parsed), the integer labels and the float features."""
+    return np.dtype(
+        [("id", "U0"), ("labels", np.int64, (levels,)), ("features", np.float64, (dim,))]
+    )
 
 
 def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Dataset]:
     """Read a feature CSV paired with its hierarchy JSON.
 
-    The CSV must carry the header id, level_1..level_H (-1 for unknown),
-    then the feature columns. Label values are validated against the
-    hierarchy (range and parent consistency) with the offending row
-    named on failure.
+    The CSV is UTF-8 text with the header id, level_1..level_H (-1 for
+    unknown), then the feature columns. The header is checked on its
+    own; the body is then parsed in one numpy pass, each feature equal
+    bit for bit to float() of its field. The id is free text and never
+    parsed. '#' starts no comment, a field may be quoted, and empty
+    lines are skipped. Every error is a DataFormatError naming the file;
+    "row N" counts data rows from 0, the index into the returned
+    Dataset. Row widths, label and feature values, finiteness, label
+    range and parent consistency are all checked.
     """
     from .hierarchy import load_hierarchy
 
@@ -281,35 +309,75 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
     path = Path(features_path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such file")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        expected = ["id"] + [f"level_{h}" for h in range(1, spec.levels + 1)]
-        if header[: len(expected)] != expected:
-            raise DataFormatError(
-                f"{path}: header must start with {expected}, got {header[: len(expected)]}"
-            )
-        dim = len(header) - len(expected)
-        if dim < 1:
-            raise DataFormatError(f"{path}: no feature columns after the label columns")
-        labels, features = [], []
-        for row_num, row in enumerate(reader):
-            if len(row) != len(header):
+    expected = ["id"] + [f"level_{h}" for h in range(1, spec.levels + 1)]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header_line = fh.readline().rstrip("\n")
+            if not header_line:
+                raise DataFormatError(f"{path}: no header on the first line")
+            header = _fields(header_line)
+            if header[: len(expected)] != expected:
                 raise DataFormatError(
-                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
+                    f"{path}: header must start with {expected}, got {header[: len(expected)]}"
                 )
-            try:
-                labels.append([int(v) for v in row[1 : spec.levels + 1]])
-                features.append([float(v) for v in row[spec.levels + 1 :]])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {row_num}: {exc}") from exc
-    labels = np.asarray(labels, dtype=np.int64).reshape(len(labels), spec.levels)
-    features = np.asarray(features, dtype=np.float64).reshape(len(labels), dim)
-    if not np.all(np.isfinite(features)):
-        row = int(np.argmax(~np.isfinite(features).all(axis=1)))
+            dim = len(header) - len(expected)
+            if dim < 1:
+                raise DataFormatError(f"{path}: no feature columns after the label columns")
+            with warnings.catch_warnings():
+                # a body without rows is named below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, dtype=_row_dtype(spec.levels, dim), ndmin=1, **_CSV_FIELDS
+                )
+    except DataFormatError:
+        raise
+    except ValueError as exc:  # numpy's parse errors and UnicodeDecodeError
+        raise DataFormatError(f"{path}: {_first_bad_row(path, spec.levels) or exc}") from exc
+    if table.size == 0:
+        raise DataFormatError(f"{path}: no data rows")
+    labels = np.ascontiguousarray(table["labels"])
+    features = np.ascontiguousarray(table["features"])
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
         raise DataFormatError(f"{path}: row {row}: non-finite feature value")
     _check_label_consistency(labels, spec, path=path)
     return spec, Dataset(features, labels, spec)
+
+
+def _first_bad_row(path: Path, levels: int) -> str | None:
+    """Name what the bulk parse of a feature CSV refused, by parsing the
+    file again line by line with the same rules. Used on the error path
+    only: it returns a message, never data, and None when no single
+    line fails on its own."""
+    lines = path.read_bytes().splitlines()
+    try:
+        header = _fields(lines[0].decode("utf-8")) if lines and lines[0] else []
+    except UnicodeDecodeError as exc:
+        return f"header is not UTF-8 text ({exc})"
+    if len(header) <= levels + 1:  # the id and label columns
+        return None
+    dtype = _row_dtype(levels, len(header) - levels - 1)
+    row = 0
+    for line in lines[1:]:
+        if not line:
+            continue
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"row {row} is not UTF-8 text ({exc})"
+        width = len(_fields(text))
+        if width != len(header):
+            return f"row {row} has {width} fields, expected {len(header)}"
+        try:
+            np.loadtxt([text], dtype=dtype, **_CSV_FIELDS)
+        except ValueError as exc:
+            # numpy calls the one line it was given row 0 and counts
+            # columns from 1; name the column from the header instead
+            return f"row {row}: " + re.sub(
+                r" at row \d+, column (\d+)\.",
+                lambda m: f" in column {header[int(m.group(1)) - 1]}",
+                str(exc),
+            )
+        row += 1
+    return None

@@ -224,8 +224,8 @@ def load_hierarchy(path) -> tuple[HierarchySpec, frozenset[int]]:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "counts" not in doc:
         raise DataFormatError(f"{path}: missing required key 'counts'")

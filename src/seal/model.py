@@ -390,8 +390,10 @@ def save_checkpoint(path, state: ModelState, meta: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[ModelState, dict]:
     """Read a checkpoint written by save_checkpoint; returns
-    (state, sidecar metadata). A truncated container or a sidecar that
-    is not JSON is a DataFormatError naming the file."""
+    (state, sidecar metadata). A truncated container, a sidecar that is
+    not JSON, tensors whose shapes do not chain, or a sidecar whose
+    levels, in_dim or proj_dim differ from what the tensors give is a
+    DataFormatError naming the file."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".meta.json")
     if not path.exists():
@@ -399,7 +401,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     if not sidecar_path.exists():
         raise DataFormatError(f"{sidecar_path}: missing metadata sidecar")
     try:
-        meta = json.loads(sidecar_path.read_text())
+        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{sidecar_path}: invalid JSON ({exc})") from exc
     blob = memoryview(path.read_bytes())
@@ -435,22 +437,70 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         )
         weights = [tensors[f"layer{i}.weight"] for i in range(n_layers)]
         biases = [tensors[f"layer{i}.bias"] for i in range(n_layers)]
-        bounds = tensors["slice_bounds"].astype(np.int64)
+        bounds = tensors["slice_bounds"]
         levels = int(meta["levels"])
         prototypes = [tensors[f"prototypes.{lvl}"] for lvl in range(1, levels + 1)]
         tau, tau_sharp = float(meta["tau"]), float(meta["tau_sharp"])
+        claimed = {field: meta[field] for field in ("levels", "in_dim", "proj_dim")}
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing tensor or metadata field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed tensors or metadata ({exc})") from exc
+    _check_layout(path, weights, biases, bounds, prototypes)
+    implied = {
+        "levels": bounds.size - 1, "in_dim": weights[0].shape[0], "proj_dim": int(bounds[-1]),
+    }
+    for field, value in implied.items():
+        if claimed[field] != value:
+            raise DataFormatError(
+                f"{sidecar_path}: {field} is {claimed[field]!r}, the tensors of {path} give {value}"
+            )
     return (
         ModelState(
             weights=weights,
             biases=biases,
-            slice_bounds=bounds,
+            slice_bounds=bounds.astype(np.int64),
             prototypes=prototypes,
             tau=tau,
             tau_sharp=tau_sharp,
         ),
         meta,
     )
+
+
+def _check_layout(path, weights, biases, bounds, prototypes) -> None:
+    """The tensors of a checkpoint must chain: each layer's weight has as
+    many rows as the previous layer is wide and a bias of its own width,
+    slice_bounds are integers rising strictly from 0 to the projection
+    width, and every prototype matrix is that wide. A mismatch is a
+    DataFormatError naming the file and the tensor."""
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2:
+            raise DataFormatError(f"{path}: layer{i}.weight has shape {w.shape}, expected rank 2")
+        if i and w.shape[0] != weights[i - 1].shape[1]:
+            raise DataFormatError(
+                f"{path}: layer{i}.weight has {w.shape[0]} rows, "
+                f"layer{i - 1}.weight is {weights[i - 1].shape[1]} wide"
+            )
+        if b.shape != (w.shape[1],):
+            raise DataFormatError(
+                f"{path}: layer{i}.bias has shape {b.shape}, expected ({w.shape[1]},)"
+            )
+    width = weights[-1].shape[1]
+    if (
+        bounds.ndim != 1
+        or bounds.size < 2
+        or not np.array_equal(bounds, np.round(bounds))
+        or bounds[0] != 0
+        or np.any(np.diff(bounds) <= 0)
+        or bounds[-1] != width
+    ):
+        raise DataFormatError(
+            f"{path}: slice_bounds {bounds.tolist()} must be integers rising strictly "
+            f"from 0 to the projection width {width}"
+        )
+    for lvl, protos in enumerate(prototypes, start=1):
+        if protos.ndim != 2 or protos.shape[1] != width:
+            raise DataFormatError(
+                f"{path}: prototypes.{lvl} has shape {protos.shape}, expected {width} columns"
+            )

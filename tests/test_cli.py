@@ -173,6 +173,12 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert load_run_config(cfg) == doc
 
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"seed": 3', b'"seed\xff": 3'))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert f"{cfg}: invalid JSON" in capsys.readouterr().err
+
     def test_unknown_flag_exit_one(self, capsys):
         assert main(["train", "--confg", "x.json"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -227,6 +233,17 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert "empty.csv: no label rows" in capsys.readouterr().err
+
+    def test_non_utf8_label_file_named(self, tmp_path, capsys):
+        self._write_files(tmp_path)
+        (tmp_path / "latin1.csv").write_bytes(b"id,level_1,level_2\n0,0,0\n1,\xe9,0\n")
+        code = main([
+            "eval", "--pred", str(tmp_path / "latin1.csv"),
+            "--truth", str(tmp_path / "truth.csv"),
+            "--hierarchy", str(tmp_path / "h.json"),
+        ])
+        assert code == 1
+        assert "latin1.csv: not UTF-8 text" in capsys.readouterr().err
 
     def test_projection_dump(self, tmp_path, capsys):
         self._write_files(tmp_path)
@@ -313,6 +330,21 @@ class TestReport:
         (run_dir / "final.json").write_text(content)
         assert main(["report", "--run", str(run_dir)]) == 1
         assert "final.json" in capsys.readouterr().err
+
+    def test_non_utf8_metrics_names_file(self, tmp_path, capsys):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_bytes(b'{"epoch": 0}\n{"note": "\xff"}\n')
+        assert main(["report", "--run", str(run_dir)]) == 1
+        assert "metrics.jsonl: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_final_names_file(self, tmp_path, capsys):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text('{"epoch": 0}\n')
+        (run_dir / "final.json").write_bytes(b'{"final": "\xff"}')
+        assert main(["report", "--run", str(run_dir)]) == 1
+        assert "final.json: invalid JSON" in capsys.readouterr().err
 
     def test_empty_metrics_exit_one(self, tmp_path, capsys):
         run_dir = tmp_path / "r"

@@ -1,5 +1,9 @@
 """Tests for synthetic data generation, CSV round trips, and GCD splits."""
 
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -136,7 +140,7 @@ class TestCsvRoundTrip:
         spec2, loaded = load_embeddings(tmp_path / "f.csv", tmp_path / "h.json")
         assert spec2.counts == spec.counts
         np.testing.assert_array_equal(loaded.labels, ds.labels)
-        np.testing.assert_allclose(loaded.features, ds.features, atol=1e-12)
+        np.testing.assert_array_equal(loaded.features, ds.features)
 
     def test_hidden_labels(self, tmp_path):
         spec = two_level_spec()
@@ -188,6 +192,191 @@ class TestCsvRoundTrip:
         save_hierarchy(tmp_path / "h.json", spec)
         with pytest.raises(DataFormatError, match="nope.csv"):
             load_embeddings(tmp_path / "nope.csv", tmp_path / "h.json")
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("kwargs", [{}, {"float32": True, "hide_labels_at": [0, 5, 9]}])
+    def test_bytes_match_csv_writer(self, tmp_path, kwargs):
+        spec = balanced_hierarchy([2, 4, 8])
+        ds = generate_synthetic(spec, per_class=3, dim=7, seed=4)
+        save_features_csv(tmp_path / "f.csv", ds, **kwargs)
+        # the writer before the bulk rewrite: csv.writer over per-element reprs
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["id", "level_1", "level_2", "level_3"] + [f"f{j}" for j in range(7)])
+        feats = ds.features.astype(np.float32) if kwargs.get("float32") else ds.features
+        hidden = set(kwargs.get("hide_labels_at", []))
+        for i in range(len(ds)):
+            labels = [-1] * 3 if i in hidden else ds.labels[i].tolist()
+            writer.writerow([i] + labels + [repr(float(v)) for v in feats[i]])
+        assert (tmp_path / "f.csv").read_bytes() == expected.getvalue().encode()
+
+
+VALID_CSV = (
+    "id,level_1,level_2,f0,f1,f2\n"
+    "0,0,1,0.5,-1.25,3.0\n"
+    "1,1,2,1e-3,2.5,-0.0\n"
+    "2,-1,-1,7.0,8.0,0.1\n"
+)
+
+
+def with_row(row: int, line: str) -> str:
+    """VALID_CSV with data row ``row`` replaced by ``line``."""
+    lines = VALID_CSV.splitlines(keepends=True)
+    lines[row + 1] = line + "\n"
+    return "".join(lines)
+
+
+def reference_load(data: bytes, spec):
+    """The per-field reader the bulk parse replaced: csv rows, empty rows
+    skipped, int() of each label and float() of each feature. Returns
+    (labels, features), or None where the file must be refused."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    limit = csv.field_size_limit(max(len(text), 131072))
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    finally:
+        csv.field_size_limit(limit)
+    if not rows:
+        return None
+    header, body = rows[0], [r for r in rows[1:] if r]
+    names = ["id"] + [f"level_{h}" for h in range(1, spec.levels + 1)]
+    if header[: len(names)] != names or len(header) == len(names) or not body:
+        return None
+    labels, features = [], []
+    for row in body:
+        if len(row) != len(header):
+            return None
+        try:
+            labels.append([int(v) for v in row[1 : spec.levels + 1]])
+            features.append([float(v) for v in row[spec.levels + 1 :]])
+        except ValueError:
+            return None
+    try:
+        ds = Dataset(features, labels, spec)
+    except InputError:
+        return None
+    return ds.labels, ds.features
+
+
+# (case, file bytes, the data row an error must name, or None)
+CORRUPT_CSV = [
+    ("valid", VALID_CSV.encode(), None),
+    ("short row", with_row(1, "1,1,2,1e-3,2.5").encode(), 1),
+    ("long row", with_row(2, "2,-1,-1,7.0,8.0,0.1,9.0").encode(), 2),
+    ("long first row", with_row(0, "0,0,1,0.5,-1.25,3.0,4.0").encode(), 0),
+    ("empty field", with_row(1, "1,1,2,,2.5,-0.0").encode(), 1),
+    ("text feature", with_row(2, "2,-1,-1,7.0,abc,0.1").encode(), 2),
+    ("fractional label", with_row(0, "0,0.5,1,0.5,-1.25,3.0").encode(), 0),
+    ("nan feature", with_row(1, "1,1,2,nan,2.5,-0.0").encode(), 1),
+    ("inf feature", with_row(2, "2,-1,-1,7.0,8.0,-inf").encode(), 2),
+    ("non-utf8 id", with_row(1, "1,1,2,1e-3,2.5,-0.0").encode().replace(b"\n1,", b"\n\xff1,"), 1),
+    ("non-utf8 feature", with_row(2, "2,-1,-1,7.0,8.0,0.1").encode().replace(b"8.0", b"8\xe9"), 2),
+    ("non-utf8 header", VALID_CSV.encode().replace(b"f1", b"f\xff"), None),
+    ("string ids", VALID_CSV.replace("\n1,", "\nimg_001.jpg,").encode(), None),
+    ("hash ids", VALID_CSV.replace("\n0,", "\n#0,").replace("\n2,", "\n# 2,").encode(), None),
+    ("quoted fields", with_row(1, '"img,1",1,"2","1e-3",2.5,-0.0').encode(), None),
+    ("blank lines", VALID_CSV.replace("\n1,", "\n\n\n1,").encode() + b"\n\n", None),
+    ("blank line before a bad row",
+     with_row(2, "2,-1,-1,7.0,abc,0.1").replace("\n2,", "\n\n2,").encode(), 2),
+    ("crlf", VALID_CSV.replace("\n", "\r\n").encode(), None),
+    ("crlf bad row", with_row(1, "1,1,2,x,2.5,-0.0").replace("\n", "\r\n").encode(), 1),
+    ("whitespace line", VALID_CSV.replace("\n1,", "\n  \n1,").encode(), 1),
+    ("no data rows", b"id,level_1,level_2,f0,f1,f2\n\n", None),
+    ("empty file", b"", None),
+    ("blank first line", b"\n" + VALID_CSV.encode(), None),
+    ("field over the csv module's size limit",
+     VALID_CSV.replace("\n2,", "\n" + "x" * 200_000 + ",").encode() + b"3,0,0,abc,0,0\n", 3),
+    ("wrong header", VALID_CSV.replace("level_2", "level2").encode(), None),
+    ("inconsistent parent", with_row(0, "0,1,1,0.5,-1.25,3.0").encode(), 0),
+]
+
+
+class TestCsvCorruption:
+    """Every feature CSV either loads to exactly what the per-field
+    reference reads, or is a DataFormatError naming the file."""
+
+    @staticmethod
+    def check(tmp_path, data: bytes, row=None):
+        spec = two_level_spec()
+        save_hierarchy(tmp_path / "h.json", spec)
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        expected = reference_load(data, spec)
+        if expected is None:
+            with pytest.raises(DataFormatError) as info:
+                load_embeddings(path, tmp_path / "h.json")
+            message = str(info.value)
+            assert message.startswith(f"{path}: "), message
+            if row is not None:
+                assert f"row {row}" in message, message
+            assert "at row" not in message, message  # numpy's own row count is not shown
+            return message
+        _, ds = load_embeddings(path, tmp_path / "h.json")
+        np.testing.assert_array_equal(ds.labels, expected[0])
+        assert ds.features.tobytes() == expected[1].tobytes()  # bitwise
+        return None
+
+    @pytest.mark.parametrize("case,data,row", CORRUPT_CSV, ids=[c[0] for c in CORRUPT_CSV])
+    def test_case(self, tmp_path, case, data, row):
+        self.check(tmp_path, data, row)
+
+    def test_table_cases_that_load(self, tmp_path):
+        spec = two_level_spec()
+        loads = {case for case, data, _ in CORRUPT_CSV if reference_load(data, spec) is not None}
+        assert loads == {"valid", "string ids", "hash ids", "quoted fields", "blank lines", "crlf"}
+
+    def test_every_truncation(self, tmp_path):
+        full = VALID_CSV.replace("\n2,", "\n\n2,").encode()
+        messages = [self.check(tmp_path, full[:cut]) for cut in range(len(full) + 1)]
+        assert any(m is None for m in messages) and any(m is not None for m in messages)
+
+    def test_random_body_edits(self, tmp_path):
+        # seeded byte edits below the header: overwrite, insert or delete
+        rng = np.random.default_rng(5)
+        full = VALID_CSV.replace("\n2,", '\n\n"x,y",').encode()
+        start = len(VALID_CSV.splitlines()[0]) + 1
+        alphabet = b'0123456789,.-+"#\n\r eEnaI\xff\xc3\x00x'
+        outcomes = set()
+        for _ in range(300):
+            data = bytearray(full)
+            for _ in range(int(rng.integers(1, 4))):
+                pos = int(rng.integers(start, len(data)))
+                byte = alphabet[int(rng.integers(len(alphabet)))]
+                edit = rng.integers(3)
+                if edit == 0:
+                    data[pos] = byte
+                elif edit == 1:
+                    data.insert(pos, byte)
+                else:
+                    del data[pos]
+            outcomes.add(self.check(tmp_path, bytes(data)) is None)
+        assert outcomes == {True, False}
+
+    def test_no_data_rows_named(self, tmp_path):
+        message = self.check(tmp_path, b"id,level_1,level_2,f0,f1,f2\r\n")
+        assert message.endswith("no data rows")
+
+    def test_seal_train_exits_one(self, tmp_path, capsys):
+        from seal.cli import main
+
+        data = with_row(1, "1,1,2,1e-3,abc,-0.0").encode()
+        save_hierarchy(tmp_path / "h.json", two_level_spec())
+        (tmp_path / "f.csv").write_bytes(data)
+        config = {
+            "data": {"features": str(tmp_path / "f.csv"), "hierarchy": str(tmp_path / "h.json")},
+            "train": {"epochs": 1, "batch_size": 2},
+            "model": {"hidden": [4], "proj_dim": 4},
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code = main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        where = f"{tmp_path / 'f.csv'}: row 1"
+        assert f"{where}: could not convert string 'abc' to float64 in column f1" in err
 
 
 class TestDatasetInvariants:

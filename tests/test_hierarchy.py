@@ -238,6 +238,12 @@ class TestHierarchyFile:
         with pytest.raises(DataFormatError, match="broken.json"):
             load_hierarchy(path)
 
+    def test_non_utf8_reports_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"counts": [2], "names": [["caf\u00e9", "b"]]}'.encode("latin-1"))
+        with pytest.raises(DataFormatError, match="latin1.json"):
+            load_hierarchy(path)
+
     def test_known_out_of_range(self, tmp_path):
         path = tmp_path / "taxonomy.json"
         path.write_text('{"counts": [2, 4], "parents": [[0, 0, 1, 1]], "known": [9]}')

@@ -2,6 +2,8 @@
 against central finite differences, gradient-mask behaviour, and the
 checkpoint container."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -344,3 +346,48 @@ class TestCheckpoint:
         (tmp_path / "model.seal.meta.json").unlink()
         with pytest.raises(DataFormatError, match="sidecar"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "tensor,tamper",
+        [
+            ("layer1.weight", lambda st: st.weights.__setitem__(1, st.weights[1][:-1])),
+            ("layer0.bias", lambda st: st.biases.__setitem__(0, st.biases[0][:-1])),
+            ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([1, 2, 4, 6]))),
+            ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([0, 4, 2, 6]))),
+            ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([0, 2, 4, 5]))),
+            ("prototypes.2", lambda st: st.prototypes.__setitem__(1, st.prototypes[1][:, :5])),
+        ],
+        ids=["weight rows", "bias width", "bounds start", "bounds rise", "bounds end",
+             "prototype width"],
+    )
+    def test_tensors_that_do_not_chain_rejected(self, tmp_path, tensor, tamper):
+        state, _ = tiny_state()
+        tamper(state)
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state)
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: {tensor} ")
+
+    @pytest.mark.parametrize("field,value", [("levels", 2), ("in_dim", 5), ("proj_dim", 8)])
+    def test_sidecar_disagreeing_with_tensors_rejected(self, tmp_path, field, value):
+        state, _ = tiny_state()
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state)
+        sidecar = tmp_path / "model.seal.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta[field] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{sidecar}: {field} is {value}")
+        assert str(path) in str(info.value)
+
+    def test_non_utf8_sidecar_rejected(self, tmp_path):
+        state, _ = tiny_state()
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state)
+        (tmp_path / "model.seal.meta.json").write_bytes(b'{"levels": "\xff"}')
+        with pytest.raises(DataFormatError, match="meta.json"):
+            load_checkpoint(path)
+
