@@ -16,9 +16,12 @@ from seal.losses import (
 
 rng = np.random.default_rng(0)
 
-# four samples: two aligned pairs
+# four samples: two aligned pairs; the losses take unit-norm rows, as the
+# encoder's level slices are
 z_coarse = np.array([[1, 0.1], [1, -0.1], [-1, 0.1], [-1, -0.1]], dtype=float)
 z_fine = rng.standard_normal((4, 3))
+z_coarse /= np.linalg.norm(z_coarse, axis=1, keepdims=True)
+z_fine /= np.linalg.norm(z_fine, axis=1, keepdims=True)
 s1 = similarity_matrix(z_coarse)
 s2 = similarity_matrix(z_fine)
 print("coarse-level similarities:\n", np.round(s1, 2))

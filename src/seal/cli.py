@@ -311,47 +311,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _read_label_csv(path, levels: int):
-    """id + level_1..level_H columns from a CSV; extra columns ignored."""
-    import csv as _csv
-
-    import numpy as np
-
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: no such file")
-    wanted = [f"level_{h}" for h in range(1, levels + 1)]
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.DictReader(fh)
-            if reader.fieldnames is None or "id" not in reader.fieldnames:
-                raise DataFormatError(f"{path}: missing 'id' column")
-            missing = [c for c in wanted if c not in reader.fieldnames]
-            if missing:
-                raise DataFormatError(f"{path}: missing label columns {missing}")
-            ids, labels = [], []
-            for row_num, row in enumerate(reader):
-                try:
-                    ids.append(int(row["id"]))
-                    labels.append([int(row[c]) for c in wanted])
-                except (TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}: row {row_num}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not ids:
-        raise DataFormatError(f"{path}: no label rows")
-    return np.asarray(ids), np.asarray(labels, dtype=np.int64)
-
-
 def _cmd_eval(args) -> int:
     import numpy as np
 
+    from .datagen import load_labels
     from .evaluation import evaluate_predictions
     from .hierarchy import load_hierarchy
 
     spec, known = load_hierarchy(args.hierarchy)
-    pred_ids, pred = _read_label_csv(args.pred, spec.levels)
-    true_ids, truth = _read_label_csv(args.truth, spec.levels)
+    pred_ids, pred = load_labels(args.pred, spec.levels)
+    true_ids, truth = load_labels(args.truth, spec.levels)
+    # ids are text: a prediction matches the truth row whose id string it repeats
     order_p = np.argsort(pred_ids)
     order_t = np.argsort(true_ids)
     if not np.array_equal(pred_ids[order_p], true_ids[order_t]):

@@ -244,21 +244,19 @@ def make_gcd_split(
     )
 
 
-def save_features_csv(path, dataset: Dataset, hide_labels_at=None, float32: bool = False) -> None:
+def save_features_csv(path, dataset: Dataset, hide_labels_at=None) -> None:
     """Write the headered feature CSV: id, level_1..level_H, f0..f{d-1}.
 
     hide_labels_at: optional index array whose rows get -1 labels at all
-    levels (the unlabelled-set convention). float32 truncates feature
-    precision for smaller files. Every value is written as the repr of
-    its Python int or float, comma-separated, with "\\r\\n" line ends:
-    the bytes csv.writer gives for the same rows.
+    levels (the unlabelled-set convention). Every value is written as
+    the repr of its Python int or float, comma-separated, with "\\r\\n"
+    line ends: the bytes csv.writer gives for the same rows.
     """
     spec = dataset.spec
     hidden = np.zeros(len(dataset), dtype=bool)
     if hide_labels_at is not None:
         hidden[np.asarray(hide_labels_at, dtype=np.int64)] = True
     labels = np.where(hidden[:, None], -1, dataset.labels)
-    feats = dataset.features.astype(np.float32) if float32 else dataset.features
     header = (
         ["id"]
         + [f"level_{h}" for h in range(1, spec.levels + 1)]
@@ -267,12 +265,12 @@ def save_features_csv(path, dataset: Dataset, hide_labels_at=None, float32: bool
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(len(dataset)):
-            fields = [i, *labels[i].tolist(), *feats[i].tolist()]
+            fields = [i, *labels[i].tolist(), *dataset.features[i].tolist()]
             fh.write(",".join(map(repr, fields)) + "\r\n")
 
 
-# how a feature CSV is split into fields: '#' is data, not a comment,
-# and a field may be quoted
+# how a CSV is split into fields: '#' is data, not a comment, and a field
+# may be quoted
 _CSV_FIELDS = {"delimiter": ",", "comments": None, "quotechar": '"'}
 
 
@@ -282,12 +280,29 @@ def _fields(line: str) -> list[str]:
     return np.loadtxt([line], dtype=str, ndmin=1, **_CSV_FIELDS).tolist()
 
 
-def _row_dtype(levels: int, dim: int) -> np.dtype:
-    """One CSV data row: the id (free text, zero-width, so never
-    parsed), the integer labels and the float features."""
-    return np.dtype(
-        [("id", "U0"), ("labels", np.int64, (levels,)), ("features", np.float64, (dim,))]
-    )
+def _read_csv(path: Path, row_dtype) -> tuple[list[str], np.ndarray]:
+    """A UTF-8 CSV's header and body. row_dtype(header) checks the
+    header (a DataFormatError if it is wrong) and gives the dtype of one
+    row, a field per column, so every row must have the header's width.
+    The body is parsed in one numpy pass; a body without rows is an empty
+    table for the caller to name."""
+    if not path.exists():
+        raise DataFormatError(f"{path}: no such file")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            line = fh.readline().rstrip("\n")
+            if not line:
+                raise DataFormatError(f"{path}: no header on the first line")
+            header = _fields(line)
+            dtype = row_dtype(header)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype=dtype, ndmin=1, **_CSV_FIELDS)
+    except DataFormatError:
+        raise
+    except ValueError as exc:  # numpy's parse errors and UnicodeDecodeError
+        raise DataFormatError(f"{path}: {_first_bad_row(path, row_dtype) or exc}") from exc
+    return header, table
 
 
 def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Dataset]:
@@ -307,32 +322,22 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
 
     spec, _known = load_hierarchy(hierarchy_path)
     path = Path(features_path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: no such file")
     expected = ["id"] + [f"level_{h}" for h in range(1, spec.levels + 1)]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header_line = fh.readline().rstrip("\n")
-            if not header_line:
-                raise DataFormatError(f"{path}: no header on the first line")
-            header = _fields(header_line)
-            if header[: len(expected)] != expected:
-                raise DataFormatError(
-                    f"{path}: header must start with {expected}, got {header[: len(expected)]}"
-                )
-            dim = len(header) - len(expected)
-            if dim < 1:
-                raise DataFormatError(f"{path}: no feature columns after the label columns")
-            with warnings.catch_warnings():
-                # a body without rows is named below, not warned about
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    fh, dtype=_row_dtype(spec.levels, dim), ndmin=1, **_CSV_FIELDS
-                )
-    except DataFormatError:
-        raise
-    except ValueError as exc:  # numpy's parse errors and UnicodeDecodeError
-        raise DataFormatError(f"{path}: {_first_bad_row(path, spec.levels) or exc}") from exc
+
+    def row_dtype(header):
+        # the id (zero-width, so never parsed), the labels, the features
+        if header[: len(expected)] != expected:
+            raise DataFormatError(
+                f"{path}: header must start with {expected}, got {header[: len(expected)]}"
+            )
+        if len(header) == len(expected):
+            raise DataFormatError(f"{path}: no feature columns after the label columns")
+        dim = len(header) - len(expected)
+        return np.dtype([
+            ("id", "U0"), ("labels", np.int64, (spec.levels,)), ("features", np.float64, (dim,))
+        ])
+
+    _, table = _read_csv(path, row_dtype)
     if table.size == 0:
         raise DataFormatError(f"{path}: no data rows")
     labels = np.ascontiguousarray(table["labels"])
@@ -345,19 +350,45 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
     return spec, Dataset(features, labels, spec)
 
 
-def _first_bad_row(path: Path, levels: int) -> str | None:
-    """Name what the bulk parse of a feature CSV refused, by parsing the
-    file again line by line with the same rules. Used on the error path
-    only: it returns a message, never data, and None when no single
-    line fails on its own."""
+def load_labels(path, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read the id and level_1..level_H columns of a CSV, wherever they
+    stand in the header: (ids as text, (n, levels) int64 labels), in file
+    order. Other columns are never parsed, so a feature CSV serves too.
+    The file is split and checked as load_embeddings splits it, and
+    every error is a DataFormatError naming the file.
+    """
+    path = Path(path)
+    kinds = {"id": object, **{f"level_{h}": np.int64 for h in range(1, levels + 1)}}
+
+    def row_dtype(header):
+        # the id as text, the labels as integers, other columns zero-width
+        if "id" not in header:
+            raise DataFormatError(f"{path}: missing 'id' column")
+        missing = [c for c in kinds if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing label columns {missing}")
+        return np.dtype([(f"c{i}", kinds.get(name, "U0")) for i, name in enumerate(header)])
+
+    header, table = _read_csv(path, row_dtype)
+    if table.size == 0:
+        raise DataFormatError(f"{path}: no label rows")
+    ids, *labels = (table[f"c{header.index(name)}"] for name in kinds)
+    return ids.astype(str), np.stack(labels, axis=1)
+
+
+def _first_bad_row(path: Path, row_dtype) -> str | None:
+    """Name what the bulk parse of a CSV refused, by parsing the file
+    again line by line with the same rules. Used on the error path only:
+    it returns a message, never data, and None when no single line fails
+    on its own."""
     lines = path.read_bytes().splitlines()
+    if not lines or not lines[0]:
+        return None
     try:
-        header = _fields(lines[0].decode("utf-8")) if lines and lines[0] else []
+        header = _fields(lines[0].decode("utf-8"))
     except UnicodeDecodeError as exc:
         return f"header is not UTF-8 text ({exc})"
-    if len(header) <= levels + 1:  # the id and label columns
-        return None
-    dtype = _row_dtype(levels, len(header) - levels - 1)
+    dtype = row_dtype(header)
     row = 0
     for line in lines[1:]:
         if not line:

@@ -8,6 +8,9 @@ w.r.t. its immediate inputs (logits or features); the trainer chains
 those into parameter gradients via model.backward. Targets (pseudo-
 labels, similarity-derived soft labels, pseudo-coarse distributions)
 are constants by default.
+
+similarity_matrix and hscl_loss take unit-norm rows, the encoder's level
+slices, refuse any other row and build one Gram matrix per call.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .hierarchy import TransitionMatrix
 
 KL_FLOOR = 1e-12
 _TINY_DIST = 1e-12
+UNIT_ROW_TOL = 1e-9
 
 @dataclass
 class LossConfig:
@@ -138,16 +142,20 @@ def cls_loss(
     return loss, (1.0 - lam) * d_unsup + lam * d_sup
 
 
+def _check_unit_rows(sq_norms: np.ndarray, what: str) -> None:
+    """Refuse any squared row norm off 1 by more than UNIT_ROW_TOL, or NaN."""
+    if not np.all(np.abs(sq_norms - 1.0) <= UNIT_ROW_TOL):
+        raise NumericError(f"{what} needs unit-norm rows (|norm^2 - 1| <= {UNIT_ROW_TOL:g})")
+
+
 def similarity_matrix(features: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities of a feature batch: symmetric with a
-    unit diagonal. Rows are normalized defensively; a zero-norm row is a
-    numeric error."""
+    """Pairwise cosine similarities of a batch of unit-norm rows: one Gram
+    matrix, symmetrised, with the diagonal pinned to exactly 1. The Gram
+    diagonal, read before the pinning, is the unit-row check; a row off
+    the sphere is a numeric error."""
     features = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise NumericError("zero-norm row in similarity computation")
-    unit = features / norms
-    sims = unit @ unit.T
+    sims = features @ features.T
+    _check_unit_rows(np.diagonal(sims), "similarity matrix")
     sims = 0.5 * (sims + sims.T)
     np.fill_diagonal(sims, 1.0)
     return sims
@@ -189,28 +197,18 @@ def hybrid_sim(a: np.ndarray, b: np.ndarray, lam_c: float) -> float:
     return float(lam_c * (a @ b) - (1.0 - lam_c) * np.linalg.norm(a / na - b / nb))
 
 
-def _pairwise_hybrid(z: np.ndarray, zp: np.ndarray, lam_c: float):
-    """All-pairs hybrid similarity plus the pieces its gradient needs."""
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms_p = np.linalg.norm(zp, axis=1, keepdims=True)
-    if np.any(norms == 0) or np.any(norms_p == 0):
-        raise NumericError("zero-norm row in hybrid similarity")
-    unit = z / norms
-    unit_p = zp / norms_p
-    cos = unit @ unit_p.T
-    dist = np.sqrt(np.maximum(2.0 - 2.0 * cos, 0.0))
-    sims = lam_c * (z @ zp.T) - (1.0 - lam_c) * dist
-    return sims, unit, unit_p, norms, norms_p, dist
-
-
 def hscl_loss(
     z: np.ndarray, z_prime: np.ndarray, soft: np.ndarray, lam_c: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-view contrastive loss with soft targets.
+    """Cross-view contrastive loss with soft targets, on unit-norm rows.
 
     loss = -(1/B) sum_ij soft(i,j) * log[ exp(sim(z_i, z'_j)) /
-    sum_{m != i} exp(sim(z_i, z'_m)) ], with the hybrid metric used in
-    numerator and denominator alike. Returns (loss, dZ, dZ').
+    sum_{m != i} exp(sim(z_i, z'_m)) ], with the hybrid metric
+    sim = lam_c * cos - (1 - lam_c) * |z_i - z'_j| in numerator and
+    denominator alike. Rows off the sphere are a numeric error, so one
+    Gram matrix cos = z @ z'^T gives both terms, the distance being
+    sqrt(2 - 2 cos). Returns (loss, dZ, dZ'), gradients in the ambient
+    space for the encoder's slice-norm backward to project.
     """
     z = np.asarray(z, dtype=np.float64)
     z_prime = np.asarray(z_prime, dtype=np.float64)
@@ -222,8 +220,12 @@ def hscl_loss(
         raise InputError(f"view shapes differ: {z.shape} vs {z_prime.shape}")
     if soft.shape != (batch, batch):
         raise InputError(f"soft-label matrix must be ({batch}, {batch}), got {soft.shape}")
+    _check_unit_rows(np.einsum("ij,ij->i", z, z), "hscl_loss view 1")
+    _check_unit_rows(np.einsum("ij,ij->i", z_prime, z_prime), "hscl_loss view 2")
 
-    sims, unit, unit_p, norms, norms_p, dist = _pairwise_hybrid(z, z_prime, lam_c)
+    cos = z @ z_prime.T
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * cos, 0.0))
+    sims = lam_c * cos - (1.0 - lam_c) * dist
     masked = sims.copy()
     np.fill_diagonal(masked, -np.inf)
     row_max = masked.max(axis=1, keepdims=True)
@@ -237,17 +239,11 @@ def hscl_loss(
     denom_soft = exp_shift / row_sum
     d_sims = -(soft - row_weight[:, None] * denom_soft) / batch
 
-    # chain through the hybrid metric; the distance term differentiates
-    # through each view's row normalization
-    d_z = lam_c * (d_sims @ z_prime)
-    d_zp = lam_c * (d_sims.T @ z)
+    # d(loss)/d(cos): d(dist)/d(cos) = -1/dist, taken as 0 where the two
+    # rows coincide
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(dist > _TINY_DIST, (1.0 - lam_c) * d_sims / dist, 0.0)
-    d_unit = w @ unit_p - w.sum(axis=1, keepdims=True) * unit
-    d_unit_p = w.T @ unit - w.sum(axis=0)[:, None] * unit_p
-    d_z += (d_unit - (d_unit * unit).sum(axis=1, keepdims=True) * unit) / norms
-    d_zp += (d_unit_p - (d_unit_p * unit_p).sum(axis=1, keepdims=True) * unit_p) / norms_p
-    return loss, d_z, d_zp
+        d_cos = lam_c * d_sims + np.where(dist > _TINY_DIST, (1.0 - lam_c) * d_sims / dist, 0.0)
+    return loss, d_cos @ z_prime, d_cos.T @ z
 
 
 def supcon_loss(

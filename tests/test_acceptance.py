@@ -1,18 +1,22 @@
 """Acceptance criteria, one test per criterion, each printing a
 [ACCEPTANCE] pass/fail line. Criteria 5-7 train real models and carry
 the `experiment` marker (deselect with -m "not experiment" while
-iterating; the full set takes roughly 15-25 CPU-minutes)."""
+iterating). Their 18 arms train on a process pool, one worker per CPU:
+3 to 5.3 minutes on two."""
 
 import itertools
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from seal.benchmark import benchmark_dataset, coarse_consistency, mean_consistency, run_arm
+from seal.benchmark import coarse_consistency, mean_consistency, run_arm
 from seal.errors import InputError
 from seal.evaluation import hungarian_acc
 from seal.hierarchy import balanced_hierarchy, init_transition, update_transition
@@ -346,47 +350,69 @@ def test_criterion_4_theory_suite():
 # ------------------------------------------------------------------
 
 
+# the arms and seeds each experiment reads; the fixture trains them all
+# up front, the three-level arms first because they take longest
+SEEDS = (0, 1, 2, 3, 4)
+CGC_SEEDS = (0, 1, 2)
+EXPERIMENT_ARMS = {
+    "test_criterion_5_hierarchy_beats_baseline": (("seal", "baseline"), SEEDS),
+    "test_criterion_6_shuffled_hierarchy_hurts": (("seal", "seal_shuffled_hierarchy"), SEEDS),
+    "test_criterion_7_consistency_effect": (("seal", "seal_no_cgc"), CGC_SEEDS),
+}
+_ARM_ORDER = ("seal", "seal_shuffled_hierarchy", "seal_no_cgc", "baseline")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _final_metrics(arm, seed):
+    return run_arm(arm, seed)[0]
+
+
 @pytest.fixture(scope="module")
-def arm_runner():
-    data = benchmark_dataset()
-    cache = {}
-
-    def get(arm, seed):
-        key = (arm, seed)
-        if key not in cache:
-            cache[key] = run_arm(arm, seed, data=data)[0]
-        return cache[key]
-
-    return get
+def arm_runner(request):
+    """Trains every (arm, seed) pair the selected experiments read, at
+    once on a spawned process pool with one BLAS thread per worker, then
+    serves their final metrics. Each arm seeds itself, so the numbers are
+    the ones a sequential run gives."""
+    selected = {item.name for item in request.session.items}
+    pairs = sorted(
+        {(arm, seed)
+         for name, (arms, seeds) in EXPERIMENT_ARMS.items() if name in selected
+         for arm in arms for seed in seeds},
+        key=lambda pair: (_ARM_ORDER.index(pair[0]), pair[1]),
+    )
+    started = time.perf_counter()
+    workers = min(os.cpu_count() or 1, len(pairs))
+    with pytest.MonkeyPatch.context() as env:
+        for var in _BLAS_THREAD_VARS:  # read by each worker's numpy at import
+            env.setenv(var, "1")
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            finals = list(pool.map(_final_metrics, *zip(*pairs)))
+    print(f"\n[ACCEPTANCE] trained {len(pairs)} arms on {workers} worker(s) in "
+          f"{(time.perf_counter() - started) / 60:.1f} min")
+    cache = dict(zip(pairs, finals))
+    return lambda arm, seed: cache[(arm, seed)]
 
 
 @pytest.mark.experiment
 def test_criterion_5_hierarchy_beats_baseline(arm_runner):
-    started = time.perf_counter()
-    seeds = (0, 1, 2, 3, 4)
-    seal = [arm_runner("seal", s)["all"] for s in seeds]
-    base = [arm_runner("baseline", s)["all"] for s in seeds]
+    seal = [arm_runner("seal", s)["all"] for s in SEEDS]
+    base = [arm_runner("baseline", s)["all"] for s in SEEDS]
     seal_mean, base_mean = float(np.mean(seal)), float(np.mean(base))
-    elapsed = time.perf_counter() - started
     ok = seal_mean >= 0.90 and (seal_mean - base_mean) >= 0.03
     report(5, "hierarchy vs baseline", ok,
            f"full objective {seal_mean:.3f} vs baseline {base_mean:.3f} "
-           f"(gap {seal_mean - base_mean:+.3f}, need >= +0.030 and >= 0.900); "
-           f"{elapsed / 60:.1f} min for fresh runs")
+           f"(gap {seal_mean - base_mean:+.3f}, need >= +0.030 and >= 0.900)")
 
 
 @pytest.mark.experiment
 def test_criterion_6_shuffled_hierarchy_hurts(arm_runner):
-    started = time.perf_counter()
-    seeds = (0, 1, 2, 3, 4)
-    true_h = [arm_runner("seal", s)["all"] for s in seeds]
-    shuffled = [arm_runner("seal_shuffled_hierarchy", s)["all"] for s in seeds]
+    true_h = [arm_runner("seal", s)["all"] for s in SEEDS]
+    shuffled = [arm_runner("seal_shuffled_hierarchy", s)["all"] for s in SEEDS]
     drop = float(np.mean(true_h) - np.mean(shuffled))
-    elapsed = time.perf_counter() - started
     ok = drop >= 0.02
     report(6, "shuffled-hierarchy ablation", ok,
            f"true hierarchy {np.mean(true_h):.3f} vs shuffled {np.mean(shuffled):.3f} "
-           f"(drop {drop:+.3f}, need >= 0.020); {elapsed / 60:.1f} min for fresh runs")
+           f"(drop {drop:+.3f}, need >= 0.020)")
 
 
 @pytest.mark.experiment
@@ -394,20 +420,16 @@ def test_criterion_7_consistency_effect(arm_runner):
     # "fine-coarse consistency" is read literally: the finest head's
     # predictions walked up the taxonomy against the coarsest head's;
     # the across-level mean is reported alongside as a diagnostic
-    started = time.perf_counter()
-    seeds = (0, 1, 2)
-    with_cgc = [coarse_consistency(arm_runner("seal", s)) for s in seeds]
-    without = [coarse_consistency(arm_runner("seal_no_cgc", s)) for s in seeds]
-    mean_with = [mean_consistency(arm_runner("seal", s)) for s in seeds]
-    mean_without = [mean_consistency(arm_runner("seal_no_cgc", s)) for s in seeds]
+    with_cgc = [coarse_consistency(arm_runner("seal", s)) for s in CGC_SEEDS]
+    without = [coarse_consistency(arm_runner("seal_no_cgc", s)) for s in CGC_SEEDS]
+    mean_with = [mean_consistency(arm_runner("seal", s)) for s in CGC_SEEDS]
+    mean_without = [mean_consistency(arm_runner("seal_no_cgc", s)) for s in CGC_SEEDS]
     gain = float(np.mean(with_cgc) - np.mean(without))
-    elapsed = time.perf_counter() - started
     ok = gain >= 0.10
     report(7, "consistency distillation effect", ok,
            f"fine-coarse consistency {np.mean(with_cgc):.3f} with distillation vs "
            f"{np.mean(without):.3f} without (gain {gain:+.3f}, need >= 0.100; "
-           f"all-level means {np.mean(mean_with):.3f} vs {np.mean(mean_without):.3f}); "
-           f"{elapsed / 60:.1f} min for fresh runs")
+           f"all-level means {np.mean(mean_with):.3f} vs {np.mean(mean_without):.3f})")
 
 
 # ------------------------------------------------------------------

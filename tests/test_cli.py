@@ -223,6 +223,25 @@ class TestEvalCommand:
         ])
         assert code == 1
 
+    def test_text_ids_matched_by_string(self, tmp_path, capsys):
+        # the truth is a feature CSV with file-name ids, as seal train
+        # reads it; the predictions list the same ids in reverse order
+        _, ds = self._write_files(tmp_path)
+        lines = (tmp_path / "truth.csv").read_text().splitlines()
+        rows = [f"img_{i}.jpg," + line.split(",", 1)[1] for i, line in enumerate(lines[1:])]
+        (tmp_path / "truth.csv").write_text("\n".join([lines[0]] + rows) + "\n")
+        pred = [f"img_{i}.jpg,{ds.labels[i, 0]},{ds.labels[i, 1]}" for i in range(len(ds))]
+        (tmp_path / "pred.csv").write_text("\n".join(["id,level_1,level_2"] + pred[::-1]) + "\n")
+        args = ["eval", "--pred", str(tmp_path / "pred.csv"),
+                "--truth", str(tmp_path / "truth.csv"), "--hierarchy", str(tmp_path / "h.json")]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["2"]["all"] == 1.0
+        # "img_0.jpg" and " img_0.jpg" are different ids
+        pred[0] = " " + pred[0]
+        (tmp_path / "pred.csv").write_text("\n".join(["id,level_1,level_2"] + pred) + "\n")
+        assert main(args) == 1
+        assert "different sample ids" in capsys.readouterr().err
+
     def test_empty_label_file_named(self, tmp_path, capsys):
         self._write_files(tmp_path)
         (tmp_path / "empty.csv").write_text("id,level_1,level_2\n")
@@ -243,7 +262,7 @@ class TestEvalCommand:
             "--hierarchy", str(tmp_path / "h.json"),
         ])
         assert code == 1
-        assert "latin1.csv: not UTF-8 text" in capsys.readouterr().err
+        assert "latin1.csv: row 1 is not UTF-8 text" in capsys.readouterr().err
 
     def test_projection_dump(self, tmp_path, capsys):
         self._write_files(tmp_path)

@@ -12,6 +12,7 @@ from seal.datagen import (
     GcdSplit,
     generate_synthetic,
     load_embeddings,
+    load_labels,
     make_gcd_split,
     save_features_csv,
 )
@@ -176,17 +177,6 @@ class TestCsvRoundTrip:
         _, ds = load_embeddings(tmp_path / "f.csv", tmp_path / "h.json")
         assert len(ds) == 2 and ds.dim == 3
 
-    def test_float32_export_mode(self, tmp_path):
-        spec = two_level_spec()
-        ds = generate_synthetic(spec, per_class=3, dim=5, spreads=[10, 1, 0.1], seed=8)
-        save_hierarchy(tmp_path / "h.json", spec)
-        save_features_csv(tmp_path / "f.csv", ds, float32=True)
-        _, loaded = load_embeddings(tmp_path / "f.csv", tmp_path / "h.json")
-        np.testing.assert_allclose(loaded.features, ds.features, atol=1e-5)
-        np.testing.assert_array_equal(
-            loaded.features, ds.features.astype(np.float32).astype(np.float64)
-        )
-
     def test_missing_file(self, tmp_path):
         spec = two_level_spec()
         save_hierarchy(tmp_path / "h.json", spec)
@@ -195,7 +185,7 @@ class TestCsvRoundTrip:
 
 
 class TestCsvWriter:
-    @pytest.mark.parametrize("kwargs", [{}, {"float32": True, "hide_labels_at": [0, 5, 9]}])
+    @pytest.mark.parametrize("kwargs", [{}, {"hide_labels_at": [0, 5, 9]}])
     def test_bytes_match_csv_writer(self, tmp_path, kwargs):
         spec = balanced_hierarchy([2, 4, 8])
         ds = generate_synthetic(spec, per_class=3, dim=7, seed=4)
@@ -204,11 +194,10 @@ class TestCsvWriter:
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["id", "level_1", "level_2", "level_3"] + [f"f{j}" for j in range(7)])
-        feats = ds.features.astype(np.float32) if kwargs.get("float32") else ds.features
         hidden = set(kwargs.get("hide_labels_at", []))
         for i in range(len(ds)):
             labels = [-1] * 3 if i in hidden else ds.labels[i].tolist()
-            writer.writerow([i] + labels + [repr(float(v)) for v in feats[i]])
+            writer.writerow([i] + labels + [repr(float(v)) for v in ds.features[i]])
         assert (tmp_path / "f.csv").read_bytes() == expected.getvalue().encode()
 
 
@@ -377,6 +366,161 @@ class TestCsvCorruption:
         err = capsys.readouterr().err
         where = f"{tmp_path / 'f.csv'}: row 1"
         assert f"{where}: could not convert string 'abc' to float64 in column f1" in err
+
+
+LABEL_CSV = (
+    "id,level_1,level_2,score\n"
+    "img_0.jpg,0,1,0.5\n"
+    "img_1.jpg,1,2,not a number\n"
+    "2,1,3,\n"
+)
+
+
+def with_label_row(row: int, line: str) -> str:
+    """LABEL_CSV with data row ``row`` replaced by ``line``."""
+    lines = LABEL_CSV.splitlines(keepends=True)
+    lines[row + 1] = line + "\n"
+    return "".join(lines)
+
+
+def reference_labels(data: bytes, levels: int = 2):
+    """A per-field reader of a label CSV: csv rows, empty rows skipped,
+    the id as text and int() of each level column. Returns (ids,
+    labels), or None where the file must be refused."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    wanted = ["id"] + [f"level_{h}" for h in range(1, levels + 1)]
+    if not rows or not set(wanted) <= set(rows[0]):
+        return None
+    header, body = rows[0], [r for r in rows[1:] if r]
+    cols = [header.index(name) for name in wanted]
+    ids, labels = [], []
+    for row in body:
+        if len(row) != len(header):
+            return None
+        try:
+            labels.append([int(row[c]) for c in cols[1:]])
+        except ValueError:
+            return None
+        ids.append(row[cols[0]])
+    if not ids or np.abs(labels).max() >= 2**63:
+        return None
+    return ids, np.array(labels, dtype=np.int64)
+
+
+# (case, file bytes, the data row an error must name, or None)
+CORRUPT_LABEL_CSV = [
+    ("valid", LABEL_CSV.encode(), None),
+    ("short row", with_label_row(1, "img_1.jpg,1,2").encode(), 1),
+    ("long row", with_label_row(2, "2,1,3,,4").encode(), 2),
+    ("empty label", with_label_row(0, "img_0.jpg,,1,0.5").encode(), 0),
+    ("text label", with_label_row(1, "img_1.jpg,1,abc,0").encode(), 1),
+    ("fractional label", with_label_row(0, "img_0.jpg,0.5,1,0.5").encode(), 0),
+    ("float-formatted label", with_label_row(2, "2,1.0,3,").encode(), 2),
+    ("exponent label", with_label_row(2, "2,1,3e0,").encode(), 2),
+    ("non-utf8 id", LABEL_CSV.encode().replace(b"img_1", b"img\xff1"), 1),
+    ("non-utf8 unread column", LABEL_CSV.encode().replace(b"0.5", b"0\xe95"), 0),
+    ("non-utf8 header", LABEL_CSV.encode().replace(b"score", b"sc\xffre"), None),
+    ("missing id column", LABEL_CSV.replace("id,", "name,", 1).encode(), None),
+    ("missing label column", LABEL_CSV.replace("level_2", "level2").encode(), None),
+    ("no data rows", b"id,level_1,level_2\n\n", None),
+    ("empty file", b"", None),
+    ("blank first line", b"\n" + LABEL_CSV.encode(), None),
+    ("quoted id", with_label_row(0, '"img,0",0,1,0.5').encode(), None),
+    ("hash ids", LABEL_CSV.replace("\n2,", "\n#2,").encode(), None),
+    ("blank lines", LABEL_CSV.replace("\nimg_1", "\n\n\nimg_1").encode() + b"\n\n", None),
+    ("crlf", LABEL_CSV.replace("\n", "\r\n").encode(), None),
+    ("columns reordered",
+     "score,level_2,id,level_1\n0.5,1,img_0.jpg,0\nx,2,img_1.jpg,1\n".encode(), None),
+]
+
+
+class TestLabelCsvCorruption:
+    """Every label CSV either loads to exactly what the per-field
+    reference reads, ids as text, or is a DataFormatError naming the
+    file."""
+
+    @staticmethod
+    def check(tmp_path, data: bytes, row=None):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(data)
+        expected = reference_labels(data)
+        if expected is None:
+            with pytest.raises(DataFormatError) as info:
+                load_labels(path, 2)
+            message = str(info.value)
+            assert message.startswith(f"{path}: "), message
+            if row is not None:
+                assert f"row {row}" in message, message
+            assert "at row" not in message, message  # numpy's own row count is not shown
+            return message
+        ids, labels = load_labels(path, 2)
+        assert ids.tolist() == expected[0]
+        np.testing.assert_array_equal(labels, expected[1])
+        return None
+
+    @pytest.mark.parametrize(
+        "case,data,row", CORRUPT_LABEL_CSV, ids=[c[0] for c in CORRUPT_LABEL_CSV]
+    )
+    def test_case(self, tmp_path, case, data, row):
+        self.check(tmp_path, data, row)
+
+    def test_table_cases_that_load(self):
+        loads = {case for case, data, _ in CORRUPT_LABEL_CSV if reference_labels(data)}
+        assert loads == {
+            "valid", "quoted id", "hash ids", "blank lines", "crlf", "columns reordered",
+        }
+
+    def test_ids_stay_text(self, tmp_path):
+        (tmp_path / "labels.csv").write_text("id,level_1\n007,1\n7,2\n")
+        ids, labels = load_labels(tmp_path / "labels.csv", 1)
+        assert ids.tolist() == ["007", "7"]
+        np.testing.assert_array_equal(labels, [[1], [2]])
+
+    def test_every_truncation(self, tmp_path):
+        full = LABEL_CSV.replace("\n2,", "\n\n2,").encode()
+        messages = [self.check(tmp_path, full[:cut]) for cut in range(len(full) + 1)]
+        assert any(m is None for m in messages) and any(m is not None for m in messages)
+
+    def test_random_byte_edits(self, tmp_path):
+        # seeded byte edits anywhere in the file: overwrite, insert or delete
+        rng = np.random.default_rng(6)
+        full = LABEL_CSV.replace("\n2,", '\n\n"x,y",').encode()
+        alphabet = b'0123456789,.-+"#\n\r eEnaI_\xff\xc3\x00x'
+        outcomes = set()
+        for _ in range(300):
+            data = bytearray(full)
+            for _ in range(int(rng.integers(1, 4))):
+                pos = int(rng.integers(len(data)))
+                byte = alphabet[int(rng.integers(len(alphabet)))]
+                edit = rng.integers(3)
+                if edit == 0:
+                    data[pos] = byte
+                elif edit == 1:
+                    data.insert(pos, byte)
+                else:
+                    del data[pos]
+            outcomes.add(self.check(tmp_path, bytes(data)) is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("case", ["text label", "short row", "missing label column"])
+    def test_seal_eval_exits_one(self, tmp_path, capsys, case):
+        from seal.cli import main
+
+        data = {c: d for c, d, _ in CORRUPT_LABEL_CSV}[case]
+        save_hierarchy(tmp_path / "h.json", two_level_spec())
+        (tmp_path / "labels.csv").write_bytes(data)
+        (tmp_path / "good.csv").write_text(LABEL_CSV)
+        for pred, truth in (("labels.csv", "good.csv"), ("good.csv", "labels.csv")):
+            code = main([
+                "eval", "--pred", str(tmp_path / pred), "--truth", str(tmp_path / truth),
+                "--hierarchy", str(tmp_path / "h.json"),
+            ])
+            assert code == 1
+            assert f"seal: error: {tmp_path / 'labels.csv'}: " in capsys.readouterr().err
 
 
 class TestDatasetInvariants:

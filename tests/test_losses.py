@@ -26,6 +26,18 @@ from seal.losses import (
 from seal.model import softmax
 
 
+def unit_rows(x):
+    """Rows scaled onto the unit sphere, the input contract of
+    similarity_matrix and hscl_loss."""
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def tangent(grad, unit):
+    """Each row of grad minus its component along the unit row: the
+    gradient on the sphere."""
+    return grad - (grad * unit).sum(axis=1, keepdims=True) * unit
+
+
 def fd_wrt(fn, x, step=1e-6):
     """Central finite differences of a scalar function of one array."""
     grad = np.zeros_like(x)
@@ -92,17 +104,17 @@ class TestClsLoss:
 
 class TestSimilarityMatrix:
     def test_orthonormal_rows_give_identity(self):
-        np.testing.assert_allclose(similarity_matrix(np.eye(3) * 2.0), np.eye(3))
+        np.testing.assert_allclose(similarity_matrix(np.eye(3)), np.eye(3))
 
     def test_identical_rows_give_one(self):
-        z = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]])
+        z = unit_rows(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]]))
         sims = similarity_matrix(z)
         np.testing.assert_allclose(sims[0, 1], 1.0, atol=1e-12)
         assert sims[0, 0] == 1.0  # diagonal is pinned exactly
 
     def test_matches_direct_pairwise_oracle(self):
         rng = np.random.default_rng(2)
-        z = rng.standard_normal((3, 6))
+        z = unit_rows(rng.standard_normal((3, 6)))
         sims = similarity_matrix(z)
         for i in range(3):
             for j in range(3):
@@ -114,14 +126,22 @@ class TestSimilarityMatrix:
         with pytest.raises(NumericError):
             similarity_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8, 1.0 - 1e-8, np.nan])
+    def test_non_unit_row_rejected(self, scale):
+        z = unit_rows(np.random.default_rng(2).standard_normal((3, 4)))
+        similarity_matrix(z * (1.0 + 1e-12))  # rounding-size drift passes
+        z[1] *= scale
+        with pytest.raises(NumericError, match="unit-norm rows"):
+            similarity_matrix(z)
+
 
 class TestFuseHierarchy:
     def test_single_level_is_identity_fuse(self):
-        s = similarity_matrix(np.random.default_rng(3).standard_normal((4, 5)))
+        s = similarity_matrix(unit_rows(np.random.default_rng(3).standard_normal((4, 5))))
         np.testing.assert_array_equal(fuse_hierarchy([s]), s)
 
     def test_equal_matrices_fuse_to_themselves(self):
-        s = similarity_matrix(np.random.default_rng(4).standard_normal((4, 5)))
+        s = similarity_matrix(unit_rows(np.random.default_rng(4).standard_normal((4, 5))))
         np.testing.assert_allclose(fuse_hierarchy([s, s]), s)
 
     def test_entrywise_mean(self):
@@ -138,11 +158,11 @@ class TestFuseHierarchy:
 
 class TestSoftLabels:
     def test_zero_smoothness_is_identity(self):
-        s = similarity_matrix(np.random.default_rng(5).standard_normal((4, 3)))
+        s = similarity_matrix(unit_rows(np.random.default_rng(5).standard_normal((4, 3))))
         np.testing.assert_array_equal(soft_labels(s, 0.0), np.eye(4))
 
     def test_full_smoothness_is_fused_matrix(self):
-        s = similarity_matrix(np.random.default_rng(6).standard_normal((4, 3)))
+        s = similarity_matrix(unit_rows(np.random.default_rng(6).standard_normal((4, 3))))
         np.testing.assert_array_equal(soft_labels(s, 1.0), s)
 
     def test_hand_worked_affine_combination(self):
@@ -151,7 +171,7 @@ class TestSoftLabels:
 
     def test_affine_in_smoothness(self):
         rng = np.random.default_rng(7)
-        s = similarity_matrix(rng.standard_normal((5, 4)))
+        s = similarity_matrix(unit_rows(rng.standard_normal((5, 4))))
         for _ in range(20):
             l1, l2, alpha = rng.random(3)
             mid = soft_labels(s, alpha * l1 + (1 - alpha) * l2)
@@ -208,10 +228,8 @@ def hscl_by_loops(z, zp, soft, lam_c):
 class TestHsclLoss:
     def test_two_sample_hand_expansion(self):
         rng = np.random.default_rng(9)
-        z = rng.standard_normal((2, 4))
-        zp = rng.standard_normal((2, 4))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        zp /= np.linalg.norm(zp, axis=1, keepdims=True)
+        z = unit_rows(rng.standard_normal((2, 4)))
+        zp = unit_rows(rng.standard_normal((2, 4)))
         lam = 0.7
         s = np.array([[hybrid_sim(z[i], zp[j], lam) for j in range(2)] for i in range(2)])
         expected = -0.5 * ((s[0, 0] - s[0, 1]) + (s[1, 1] - s[1, 0]))
@@ -220,8 +238,8 @@ class TestHsclLoss:
 
     def test_zero_targets_zero_loss_and_grads(self):
         rng = np.random.default_rng(10)
-        z = rng.standard_normal((3, 4))
-        zp = rng.standard_normal((3, 4))
+        z = unit_rows(rng.standard_normal((3, 4)))
+        zp = unit_rows(rng.standard_normal((3, 4)))
         loss, dz, dzp = hscl_loss(z, zp, np.zeros((3, 3)), 0.5)
         assert loss == 0.0
         assert np.all(dz == 0.0) and np.all(dzp == 0.0)
@@ -229,8 +247,8 @@ class TestHsclLoss:
     def test_identity_targets_match_loop_oracle(self):
         rng = np.random.default_rng(11)
         for batch in (2, 4, 8):
-            z = rng.standard_normal((batch, 5))
-            zp = rng.standard_normal((batch, 5))
+            z = unit_rows(rng.standard_normal((batch, 5)))
+            zp = unit_rows(rng.standard_normal((batch, 5)))
             lam = float(rng.random())
             loss, _, _ = hscl_loss(z, zp, np.eye(batch), lam)
             assert abs(loss - hscl_by_loops(z, zp, np.eye(batch), lam)) < 1e-10
@@ -239,40 +257,53 @@ class TestHsclLoss:
         rng = np.random.default_rng(12)
         for _ in range(10):
             batch = int(rng.integers(2, 8))
-            z = rng.standard_normal((batch, 6))
-            zp = rng.standard_normal((batch, 6))
+            z = unit_rows(rng.standard_normal((batch, 6)))
+            zp = unit_rows(rng.standard_normal((batch, 6)))
             soft = soft_labels(similarity_matrix(z), float(rng.random()))
             lam = float(rng.random())
             loss, _, _ = hscl_loss(z, zp, soft, lam)
             assert abs(loss - hscl_by_loops(z, zp, soft, lam)) < 1e-10
 
+    # the loss is defined on the sphere, so it is differenced through
+    # v -> v / |v| and compared with the analytic gradient's tangent part,
+    # the part the encoder's slice-norm backward keeps
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(13)
-        z = rng.standard_normal((4, 5))
-        zp = rng.standard_normal((4, 5))
+        z = unit_rows(rng.standard_normal((4, 5)))
+        zp = unit_rows(rng.standard_normal((4, 5)))
         soft = soft_labels(similarity_matrix(z), 0.8)
         lam = 0.6
         _, dz, dzp = hscl_loss(z, zp, soft, lam)
-        fd_z = fd_wrt(lambda v: hscl_loss(v, zp, soft, lam)[0], z)
-        fd_zp = fd_wrt(lambda v: hscl_loss(z, v, soft, lam)[0], zp)
-        np.testing.assert_allclose(dz, fd_z, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(dzp, fd_zp, rtol=1e-5, atol=1e-8)
+        fd_z = fd_wrt(lambda v: hscl_loss(unit_rows(v), zp, soft, lam)[0], z)
+        fd_zp = fd_wrt(lambda v: hscl_loss(z, unit_rows(v), soft, lam)[0], zp)
+        np.testing.assert_allclose(tangent(dz, z), fd_z, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(tangent(dzp, zp), fd_zp, rtol=1e-5, atol=1e-8)
 
     def test_gradients_match_fd_at_lambda_extremes(self):
         rng = np.random.default_rng(14)
-        z = rng.standard_normal((3, 4))
-        zp = rng.standard_normal((3, 4))
+        z = unit_rows(rng.standard_normal((3, 4)))
+        zp = unit_rows(rng.standard_normal((3, 4)))
         soft = np.eye(3)
         for lam in (0.0, 1.0):
             _, dz, dzp = hscl_loss(z, zp, soft, lam)
             np.testing.assert_allclose(
-                dz, fd_wrt(lambda v: hscl_loss(v, zp, soft, lam)[0], z),
+                tangent(dz, z), fd_wrt(lambda v: hscl_loss(unit_rows(v), zp, soft, lam)[0], z),
                 rtol=1e-5, atol=1e-8,
             )
             np.testing.assert_allclose(
-                dzp, fd_wrt(lambda v: hscl_loss(z, v, soft, lam)[0], zp),
+                tangent(dzp, zp), fd_wrt(lambda v: hscl_loss(z, unit_rows(v), soft, lam)[0], zp),
                 rtol=1e-5, atol=1e-8,
             )
+
+    @pytest.mark.parametrize("view", [0, 1])
+    @pytest.mark.parametrize("scale", [0.0, 2.0, 1.0 + 1e-8, np.nan])
+    def test_non_unit_row_rejected(self, view, scale):
+        rng = np.random.default_rng(16)
+        views = [unit_rows(rng.standard_normal((3, 4))) for _ in range(2)]
+        hscl_loss(*views, np.eye(3), 0.5)
+        views[view][2] *= scale
+        with pytest.raises(NumericError, match="unit-norm rows"):
+            hscl_loss(*views, np.eye(3), 0.5)
 
     def test_single_sample_rejected(self):
         with pytest.raises(InputError):
