@@ -7,7 +7,7 @@ import-light so the CLI can pin BLAS threading before numpy loads):
     seal.datagen     synthetic tree-mixture data, CSV I/O, GCD splits
     seal.model       sliced-projection MLP encoder with manual backprop
     seal.losses      classification, consistency, and soft-contrastive losses
-    seal.trainer     single-stage training loop, schedules, run records
+    seal.trainer     the summed training objective, the loop, run records
     seal.evaluation  Hungarian-matched clustering accuracy and diagnostics
     seal.theory      exact information-theoretic checks on discrete joints
     seal.cli         the `seal` command-line entry point

@@ -311,22 +311,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _labels_by_id(path, levels):
+    """A label CSV's ids and label rows, sorted by id; a repeated id is an
+    input error naming the file and the id."""
     import numpy as np
 
     from .datagen import load_labels
+
+    ids, labels = load_labels(path, levels)
+    order = np.argsort(ids)
+    ids = ids[order]
+    repeats = np.flatnonzero(ids[1:] == ids[:-1])
+    if repeats.size:
+        raise InputError(f"{path}: id {str(ids[repeats[0]])!r} appears more than once")
+    return ids, labels[order]
+
+
+def _cmd_eval(args) -> int:
+    import numpy as np
+
     from .evaluation import evaluate_predictions
     from .hierarchy import load_hierarchy
 
     spec, known = load_hierarchy(args.hierarchy)
-    pred_ids, pred = load_labels(args.pred, spec.levels)
-    true_ids, truth = load_labels(args.truth, spec.levels)
     # ids are text: a prediction matches the truth row whose id string it repeats
-    order_p = np.argsort(pred_ids)
-    order_t = np.argsort(true_ids)
-    if not np.array_equal(pred_ids[order_p], true_ids[order_t]):
+    pred_ids, pred = _labels_by_id(args.pred, spec.levels)
+    true_ids, truth = _labels_by_id(args.truth, spec.levels)
+    if not np.array_equal(pred_ids, true_ids):
         raise InputError("prediction and truth files cover different sample ids")
-    pred, truth = pred[order_p], truth[order_t]
     if np.any(truth < 0):
         raise InputError("truth file has unknown (-1) labels; cannot score")
     reports = evaluate_predictions(

@@ -229,23 +229,37 @@ def load_hierarchy(path) -> tuple[HierarchySpec, frozenset[int]]:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "counts" not in doc:
         raise DataFormatError(f"{path}: missing required key 'counts'")
-    counts = doc["counts"]
-    parents = doc.get("parents", [])
-    names = doc.get("names")
+    counts, parents = doc["counts"], doc.get("parents", [])
+    known, names = doc.get("known", []), doc.get("names")
+    is_int, is_str = (lambda v: type(v) is int), (lambda v: isinstance(v, str))
+    for key, ok, kind in (
+        ("counts", _list_of(counts, is_int), "a list of integers"),
+        ("parents", _list_of(parents, lambda m: _list_of(m, is_int)), "a list of integer lists"),
+        ("known", _list_of(known, is_int), "a list of integers"),
+        ("names", names is None or _list_of(names, lambda lvl: _list_of(lvl, is_str)),
+         "a list of string lists"),
+    ):
+        if not ok:
+            raise DataFormatError(f"{path}: {key!r} must be {kind}")
     if names is not None:
-        names = tuple(tuple(str(n) for n in lvl) for lvl in names)
+        names = tuple(tuple(lvl) for lvl in names)
         if tuple(len(lvl) for lvl in names) != tuple(counts):
             raise DataFormatError(f"{path}: 'names' lengths do not match 'counts'")
     try:
         spec = HierarchySpec(
             counts=tuple(counts), parent_maps=tuple(parents), names=names
         )
-    except InputError as exc:
+    except (InputError, OverflowError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    known = frozenset(int(k) for k in doc.get("known", []))
+    known = frozenset(known)
     if known and (min(known) < 0 or max(known) >= spec.num_fine):
         raise DataFormatError(f"{path}: 'known' index outside [0, {spec.num_fine})")
     return spec, known
+
+
+def _list_of(value, item_ok) -> bool:
+    """A JSON list whose every item passes ``item_ok``."""
+    return isinstance(value, list) and all(item_ok(v) for v in value)
 
 
 def save_hierarchy(path, spec: HierarchySpec, known=frozenset()) -> None:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .hierarchy import TransitionMatrix
+from .model import softmax
 
 KL_FLOOR = 1e-12
 _TINY_DIST = 1e-12
@@ -72,10 +73,7 @@ class LossConfig:
 def sharpen(scores: np.ndarray, tau_sharp: float) -> np.ndarray:
     """Low-temperature softmax of the other view's scores (a detached
     pseudo-label target)."""
-    shifted = scores / tau_sharp
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(scores / tau_sharp)
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
@@ -348,10 +346,7 @@ def consistency_probs(scores: np.ndarray, tau_c: float) -> np.ndarray:
     both the distillation loss and the transition-matrix update pass)."""
     if tau_c <= 0:
         raise InputError("consistency temperature must be positive")
-    shifted = scores / tau_c
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(scores / tau_c)
 
 
 def total_loss(components: dict[str, float]) -> float:

@@ -1,6 +1,8 @@
-"""Single-stage training loop: cross-view objectives at every semantic
-level, per-epoch transition-matrix refinement, cosine learning rate and
-linear curriculum schedules, SGD with momentum, and run records.
+"""Single-stage training loop: cosine learning rate and linear curriculum
+schedules, per-epoch transition-matrix refinement, and run records. Each
+step composes a batch, makes two views, calls ``objective`` (the one
+place the loss terms and their gradient scales are combined) and applies
+momentum SGD with ``sgd_step``.
 
 Randomness is split into three deterministic streams derived from the
 run seed: [seed, 0] for the validation carve-out, [seed, 1] for batch
@@ -268,47 +270,28 @@ def train(
         for _ in range(steps_per_epoch):
             lr = cosine_lr(step, total_steps, train_cfg.lr_initial, train_cfg.lr_final)
             lam_c = curriculum_lambda(
-                step,
-                total_steps,
-                loss_cfg.curriculum_start,
-                loss_cfg.curriculum_end,
+                step, total_steps, loss_cfg.curriculum_start, loss_cfg.curriculum_end,
                 loss_cfg.curriculum_horizon,
             )
-            idx, labelled_mask = _compose_batch(
-                lab_sampler, unlab_sampler, train_cfg.batch_size
-            )
+            idx, labelled_mask = _compose_batch(lab_sampler, unlab_sampler, train_cfg.batch_size)
+            view_a, view_b = make_views(dataset.features[idx], train_cfg.view_noise, view_rng)
             try:
-                components = _train_step(
-                    state,
-                    dataset.features[idx],
-                    labelled_mask,
-                    [labs[idx] for labs in per_level_labels],
-                    transitions,
-                    train_cfg,
-                    loss_cfg,
-                    lam_c,
-                    lr,
-                    velocity,
-                    view_rng,
+                components, grads = objective(
+                    state, view_a, view_b, labelled_mask,
+                    [labs[idx] for labs in per_level_labels], transitions, loss_cfg, lam_c,
                 )
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, step {step}: {exc}") from exc
+            sgd_step(state, grads, velocity, lr, train_cfg.momentum, train_cfg.weight_decay)
             for name, value in components.items():
                 sums[name] = sums.get(name, 0.0) + value
             step += 1
         if transitions and unlab.size:
             transitions = _refresh_transitions(
-                state,
-                dataset.features[unlab],
-                transitions,
-                loss_cfg.tau_consistency,
-                loss_cfg.transition_momentum,
+                state, dataset.features[unlab], transitions,
+                loss_cfg.tau_consistency, loss_cfg.transition_momentum,
             )
-        entry = {
-            "epoch": epoch,
-            "lr": lr,
-            "lambda_c": lam_c,
-        }
+        entry = {"epoch": epoch, "lr": lr, "lambda_c": lam_c}
         for name in sorted(sums):
             entry[name] = sums[name] / steps_per_epoch
         if val_idx.size:
@@ -335,67 +318,48 @@ def _compose_batch(lab_sampler, unlab_sampler, batch_size):
     return idx, mask
 
 
-def _train_step(
-    state,
-    x,
-    labelled_mask,
-    batch_labels,
-    transitions,
-    train_cfg,
-    loss_cfg,
-    lam_c,
-    lr,
-    velocity,
-    view_rng,
-):
-    """One optimizer step over a two-view batch; returns loss components."""
-    levels = state.levels
-    view_a, view_b = make_views(x, train_cfg.view_noise, view_rng)
+def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, loss_cfg, lam_c):
+    """The summed training loss of a two-view batch and its gradient.
+
+    The one place the loss terms and their gradient scales are combined:
+    per level, the classification term averaged over the two views, and
+    the soft contrastive and supervised contrastive terms mixed by
+    ``balance``; then, when transition matrices are given, the
+    consistency term on view a. Returns the ``loss_*`` components and the
+    ParamGrads of ``loss_total``. Pseudo-labels, soft targets and the
+    coarse heads' finer slices are constants, as the gradient controller
+    makes them.
+    """
     trace_a = forward(state, view_a)
     trace_b = forward(state, view_b)
-
-    d_scores_a = [np.zeros_like(s) for s in trace_a.scores]
-    d_scores_b = [np.zeros_like(s) for s in trace_b.scores]
-    d_slices_a = [np.zeros_like(z) for z in trace_a.z_slices]
-    d_slices_b = [np.zeros_like(z) for z in trace_b.z_slices]
-    components: dict[str, float] = {}
-
-    smoothness = loss_cfg.soft_smoothness
+    balance, smoothness = loss_cfg.balance, loss_cfg.soft_smoothness
     # at smoothness 0 the soft targets are the identity, which is exactly
     # what soft_labels returns then, so no similarity is computed
-    soft = np.eye(x.shape[0]) if smoothness == 0 else None
+    soft = np.eye(view_a.shape[0]) if smoothness == 0 else None
     sims: list[np.ndarray] = []
+    d_scores_a, d_scores_b, d_slices_a, d_slices_b = [], [], [], []
     cls_sum = hscl_sum = sup_sum = 0.0
-    for h in range(levels):
-        labels_h = batch_labels[h]
+    for h, labels_h in enumerate(batch_labels):
+        za, zb = trace_a.z_slices[h], trace_b.z_slices[h]
         pseudo_b = L.sharpen(trace_b.scores[h], state.tau_sharp)
         pseudo_a = L.sharpen(trace_a.scores[h], state.tau_sharp)
         loss_a, d_log_a = L.cls_loss(trace_a.probs[h], pseudo_b, labels_h, labelled_mask, loss_cfg)
         loss_b, d_log_b = L.cls_loss(trace_b.probs[h], pseudo_a, labels_h, labelled_mask, loss_cfg)
         cls_sum += 0.5 * (loss_a + loss_b)
-        d_scores_a[h] += d_log_a / (2.0 * state.tau)
-        d_scores_b[h] += d_log_b / (2.0 * state.tau)
+        # the two views are averaged, and the logits are scores / tau
+        d_scores_a.append(d_log_a / (2.0 * state.tau))
+        d_scores_b.append(d_log_b / (2.0 * state.tau))
 
         if smoothness:
-            sims.append(L.similarity_matrix(trace_a.z_slices[h]))
+            sims.append(L.similarity_matrix(za))
             soft = L.soft_labels(L.fuse_hierarchy(sims), smoothness)
-        hscl, dza, dzb = L.hscl_loss(trace_a.z_slices[h], trace_b.z_slices[h], soft, lam_c)
+        hscl, d_hscl_a, d_hscl_b = L.hscl_loss(za, zb, soft, lam_c)
+        sup, d_sup_a, d_sup_b = L.supcon_loss(za, zb, labels_h, labelled_mask, loss_cfg.tau)
         hscl_sum += hscl
-        weight_u = 1.0 - loss_cfg.balance
-        d_slices_a[h] += weight_u * dza
-        d_slices_b[h] += weight_u * dzb
-
-        sup, dza, dzb = L.supcon_loss(
-            trace_a.z_slices[h], trace_b.z_slices[h], labels_h, labelled_mask, loss_cfg.tau
-        )
         sup_sum += sup
-        d_slices_a[h] += loss_cfg.balance * dza
-        d_slices_b[h] += loss_cfg.balance * dzb
-
-    components["loss_cls"] = cls_sum
-    components["loss_hscl"] = hscl_sum
-    components["loss_supcon"] = sup_sum
-    components["loss_rep"] = (1.0 - loss_cfg.balance) * hscl_sum + loss_cfg.balance * sup_sum
+        d_slices_a.append((1.0 - balance) * d_hscl_a + balance * d_sup_a)
+        d_slices_b.append((1.0 - balance) * d_hscl_b + balance * d_sup_b)
+    rep = (1.0 - balance) * hscl_sum + balance * sup_sum
 
     cgc_value = 0.0
     if transitions:
@@ -404,27 +368,22 @@ def _train_step(
         # the term runs on view a and also trains the fine head through
         # the pseudo-coarse target
         tau_c = loss_cfg.tau_consistency
-        probs_c = [L.consistency_probs(trace_a.logits[h], tau_c) for h in range(levels)]
+        probs_c = [L.consistency_probs(logits, tau_c) for logits in trace_a.logits]
         cgc_value, d_levels, d_fine = L.cgc_loss(
             probs_c[:-1], probs_c[-1], transitions, detach_target=False
         )
-        for h, d in enumerate(d_levels):
-            d_scores_a[h] += d / (state.tau * tau_c)
-        d_scores_a[levels - 1] += d_fine / (state.tau * tau_c)
-    components["loss_cgc"] = cgc_value
+        d_scores_a = [
+            d_cls + d / (state.tau * tau_c) for d_cls, d in zip(d_scores_a, d_levels + [d_fine])
+        ]
 
-    components["loss_total"] = L.total_loss(
-        {
-            "rep": components["loss_rep"],
-            "cls": components["loss_cls"],
-            "cgc": components["loss_cgc"],
-        }
-    )
-
+    components = {
+        "loss_cls": cls_sum, "loss_hscl": hscl_sum, "loss_supcon": sup_sum, "loss_rep": rep,
+        "loss_cgc": cgc_value,
+        "loss_total": L.total_loss({"rep": rep, "cls": cls_sum, "cgc": cgc_value}),
+    }
     grads = backward(state, trace_a, d_scores=d_scores_a, d_slices=d_slices_a)
     grads.add_(backward(state, trace_b, d_scores=d_scores_b, d_slices=d_slices_b))
-    sgd_step(state, grads, velocity, lr, train_cfg.momentum, train_cfg.weight_decay)
-    return components
+    return components, grads
 
 
 def sgd_step(state, grads, velocity, lr, momentum, weight_decay):

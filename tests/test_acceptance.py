@@ -25,7 +25,9 @@ from seal.losses import (
     cgc_loss,
     cls_loss,
     consistency_probs,
+    fuse_hierarchy,
     hscl_loss,
+    sharpen,
     similarity_matrix,
     soft_labels,
     supcon_loss,
@@ -39,7 +41,7 @@ from seal.theory import (
     product_joint,
     random_joint,
 )
-from seal.trainer import validation_split  # noqa: F401  (import sanity)
+from seal.trainer import objective
 
 FD_STEP = 1e-6
 GRAD_RTOL = 1e-5
@@ -221,6 +223,46 @@ def test_criterion_1_gradient_correctness():
         d_scores=[d_levels[0] / tau_eff, d_levels[1] / tau_eff, d_fine / tau_eff],
     )
     worst["cgc_full"] = _rel_err(_grads_vector(g), _fd(cgc_full_value, state))
+
+    # the whole training objective: the summed loss_total against the
+    # gradient objective returns, through non-uniform transition rows and
+    # the consistency term's live fine target. The stop-gradients are
+    # constants: the sharpened pseudo-labels, the soft targets and the
+    # coarse heads' finer slices (of either view)
+    drift = np.random.default_rng(3)
+    moved = [
+        update_transition(
+            tm, drift.dirichlet(np.ones(tm.n_coarse), 12), drift.dirichlet(np.ones(4), 12), 0.3
+        )
+        for tm in transitions
+    ]
+    assert all(np.ptp(tm.entries[2:]) > 0.01 for tm in moved)
+    components, grads = objective(state, xa, xb, mask, label_cols, moved, cfg, lam_c)
+    frozen_b = [z.copy() for z in base_b.z_slices]
+    targets_a = [sharpen(s, state.tau_sharp) for s in base_b.scores]
+    targets_b = [sharpen(s, state.tau_sharp) for s in base_a.scores]
+    sims = [similarity_matrix(z) for z in base_a.z_slices]
+    softs = [soft_labels(fuse_hierarchy(sims[: h + 1]), cfg.soft_smoothness) for h in range(3)]
+
+    def objective_value(s):
+        za, zb = forward(s, xa).z_slices, forward(s, xb).z_slices
+        sa = [_frozen_scores(s, xa, h, frozen) for h in (1, 2, 3)]
+        sb = [_frozen_scores(s, xb, h, frozen_b) for h in (1, 2, 3)]
+        cls = hscl = sup = 0.0
+        for h in range(3):
+            pa, pb = consistency_probs(sa[h], s.tau), consistency_probs(sb[h], s.tau)
+            cls += 0.5 * (cls_loss(pa, targets_a[h], label_cols[h], mask, cfg)[0]
+                          + cls_loss(pb, targets_b[h], label_cols[h], mask, cfg)[0])
+            hscl += hscl_loss(za[h], zb[h], softs[h], lam_c)[0]
+            sup += supcon_loss(za[h], zb[h], label_cols[h], mask, cfg.tau)[0]
+        probs_c = [consistency_probs(sc, tau_eff) for sc in sa]
+        cgc = cgc_loss(probs_c[:2], probs_c[2], moved, detach_target=False)[0]
+        return (1 - cfg.balance) * hscl + cfg.balance * sup + cls + cgc
+
+    assert abs(objective_value(state) - components["loss_total"]) <= 1e-12 * abs(
+        components["loss_total"]
+    )
+    worst["objective"] = _rel_err(_grads_vector(grads), _fd(objective_value, state))
 
     elapsed = time.perf_counter() - started
     ok = all(err < GRAD_RTOL for err in worst.values()) and blocked_zero and elapsed < 30

@@ -242,6 +242,31 @@ class TestEvalCommand:
         assert main(args) == 1
         assert "different sample ids" in capsys.readouterr().err
 
+    def test_repeated_id_named(self, tmp_path, capsys):
+        # every prediction equals a truth row of its id, but pairing the
+        # two rows of id "a" by position would score level 1 at 0.5
+        from seal.hierarchy import balanced_hierarchy, save_hierarchy
+
+        save_hierarchy(tmp_path / "h.json", balanced_hierarchy([2, 4]), known={0, 1})
+        rows = ["id,level_1,level_2", "a,0,0", "a,1,2", "b,0,1", "c,1,3"]
+        swapped = [rows[0], rows[2], rows[1]] + rows[3:]
+        unique = [rows[0], "d,0,0"] + rows[2:]
+        (tmp_path / "rows.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "swapped.csv").write_text("\n".join(swapped) + "\n")
+        (tmp_path / "unique.csv").write_text("\n".join(unique) + "\n")
+        for pred, truth, named in (
+            ("swapped.csv", "rows.csv", "swapped.csv"),
+            ("unique.csv", "rows.csv", "rows.csv"),
+            ("rows.csv", "unique.csv", "rows.csv"),
+        ):
+            code = main([
+                "eval", "--pred", str(tmp_path / pred), "--truth", str(tmp_path / truth),
+                "--hierarchy", str(tmp_path / "h.json"),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"seal: error: {tmp_path / named}: id 'a' appears more than once" in err
+
     def test_empty_label_file_named(self, tmp_path, capsys):
         self._write_files(tmp_path)
         (tmp_path / "empty.csv").write_text("id,level_1,level_2\n")

@@ -1,5 +1,7 @@
 """Tests for taxonomy specs and dynamic transition matrices."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,146 @@ class TestHierarchyFile:
         path.write_text('{"counts": [2, 4], "parents": [[0, 0, 1, 1]], "known": [9]}')
         with pytest.raises(DataFormatError):
             load_hierarchy(path)
+
+
+HIERARCHY_JSON = (
+    '{"counts": [2, 4], "parents": [[0, 0, 1, 1]], "known": [0, 2],\n'
+    ' "names": [["animal", "vehicle"], ["cat", "dog", "car", "van"]]}\n'
+)
+
+
+def reference_hierarchy(data: bytes):
+    """What a hierarchy file says, read field by field with plain Python:
+    (counts, parent maps, known, names), or None when it breaks the schema."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError:
+        return None
+
+    def ints(v):
+        return isinstance(v, list) and all(type(x) is int for x in v)
+
+    if not isinstance(doc, dict) or "counts" not in doc:
+        return None
+    counts, parents = doc["counts"], doc.get("parents", [])
+    known, names = doc.get("known", []), doc.get("names")
+    if not (ints(counts) and isinstance(parents, list) and all(map(ints, parents)) and ints(known)):
+        return None
+    if names is not None and not (
+        isinstance(names, list)
+        and all(isinstance(lvl, list) and all(isinstance(n, str) for n in lvl) for lvl in names)
+        and [len(lvl) for lvl in names] == counts
+    ):
+        return None
+    if not counts or counts[0] < 1 or counts != sorted(counts) or len(parents) != len(counts) - 1:
+        return None
+    for parent_count, child_count, m in zip(counts, counts[1:], parents):
+        if len(m) != child_count or set(m) != set(range(parent_count)):
+            return None
+    if any(not 0 <= k < counts[-1] for k in known):
+        return None
+    return counts, parents, set(known), names
+
+
+def with_field(key: str, value: str) -> bytes:
+    doc = json.loads(HIERARCHY_JSON)
+    doc[key] = json.loads(value)
+    return json.dumps(doc).encode()
+
+
+# (case, file bytes, the key a wrong type names)
+WRONG_TYPES = [
+    ("counts text", with_field("counts", '"ab"'), "counts"),
+    ("counts number", with_field("counts", "4"), "counts"),
+    ("counts fraction", with_field("counts", "[2.5, 4]"), "counts"),
+    ("counts integral float", with_field("counts", "[2, 4.0]"), "counts"),
+    ("counts bool", with_field("counts", "[true, 4]"), "counts"),
+    ("parents number", with_field("parents", "5"), "parents"),
+    ("parents flat", with_field("parents", "[0, 0, 1, 1]"), "parents"),
+    ("parents text entry", with_field("parents", '[[0, 0, 1, "x"]]'), "parents"),
+    ("parents fraction", with_field("parents", "[[0, 0, 1, 1.5]]"), "parents"),
+    ("parents null entry", with_field("parents", "[[0, 0, 1, null]]"), "parents"),
+    ("known text", with_field("known", '["a"]'), "known"),
+    ("known number", with_field("known", "3"), "known"),
+    ("known fraction", with_field("known", "[1.7]"), "known"),
+    ("known bool", with_field("known", "[true]"), "known"),
+    ("names number", with_field("names", "3"), "names"),
+    ("names flat", with_field("names", '["a", "b"]'), "names"),
+    ("names number entry", with_field("names", '[["a", 1], ["c", "d", "e", "f"]]'), "names"),
+]
+
+
+class TestHierarchyCorruption:
+    """Every hierarchy file either loads to exactly what the plain-Python
+    reference reads or is a DataFormatError naming the file."""
+
+    @staticmethod
+    def check(tmp_path, data: bytes):
+        path = tmp_path / "hierarchy.json"
+        path.write_bytes(data)
+        expected = reference_hierarchy(data)
+        if expected is None:
+            with pytest.raises(DataFormatError) as info:
+                load_hierarchy(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}: "), message
+            return message
+        spec, known = load_hierarchy(path)
+        counts, parents, known_ref, names = expected
+        assert spec.counts == tuple(counts)
+        assert [m.tolist() for m in spec.parent_maps] == parents
+        assert known == known_ref
+        assert spec.names == (None if names is None else tuple(map(tuple, names)))
+        return None
+
+    def test_reference_file_loads(self, tmp_path):
+        assert self.check(tmp_path, HIERARCHY_JSON.encode()) is None
+        assert load_hierarchy(tmp_path / "hierarchy.json")[1] == {0, 2}
+
+    @pytest.mark.parametrize("case,data,key", WRONG_TYPES, ids=[c[0] for c in WRONG_TYPES])
+    def test_wrong_type_names_the_key(self, tmp_path, case, data, key):
+        message = self.check(tmp_path, data)
+        assert message == f"{tmp_path / 'hierarchy.json'}: {key!r} must be " + (
+            "a list of integer lists" if key == "parents"
+            else "a list of string lists" if key == "names" else "a list of integers"
+        )
+
+    def test_every_truncation(self, tmp_path):
+        full = HIERARCHY_JSON.encode()
+        messages = [self.check(tmp_path, full[:cut]) for cut in range(len(full) + 1)]
+        assert messages[-1] is None and messages[-2] is None
+        assert all(m is not None for m in messages[:-2])
+
+    def test_random_byte_edits(self, tmp_path):
+        # seeded byte edits anywhere in the file: overwrite, insert or delete
+        rng = np.random.default_rng(8)
+        full = HIERARCHY_JSON.encode()
+        alphabet = b'0123456789.-+e"[],: \ntruefalsnl\xff\x00'
+        outcomes = set()
+        for _ in range(300):
+            data = bytearray(full)
+            for _ in range(int(rng.integers(1, 4))):
+                pos = int(rng.integers(len(data)))
+                byte = alphabet[int(rng.integers(len(alphabet)))]
+                edit = rng.integers(3)
+                if edit == 0:
+                    data[pos] = byte
+                elif edit == 1:
+                    data.insert(pos, byte)
+                else:
+                    del data[pos]
+            outcomes.add(self.check(tmp_path, bytes(data)) is None)
+        assert outcomes == {True, False}
+
+    def test_seal_eval_exits_one(self, tmp_path, capsys):
+        from seal.cli import main
+
+        path = tmp_path / "h.json"
+        path.write_bytes(with_field("parents", "[[0, 0, 1, 1.5]]"))
+        (tmp_path / "labels.csv").write_text("id,level_1,level_2\n0,0,0\n1,1,2\n")
+        code = main([
+            "eval", "--pred", str(tmp_path / "labels.csv"),
+            "--truth", str(tmp_path / "labels.csv"), "--hierarchy", str(path),
+        ])
+        assert code == 1
+        assert f"seal: error: {path}: 'parents' must be" in capsys.readouterr().err
