@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DataFormatError, InputError, NumericError
+from .errors import DataFormatError, InputError, NumericError, parse_json, read_json
 
 
 class _UsageError(Exception):
@@ -157,23 +157,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+_TOP_TYPES = {"seed": int, "data": dict, "train": dict, "loss": dict, "model": dict}
 # the data section's own keys; 'synthetic' is a section of its own, checked
-# against generate_synthetic below, and build_run converts the others
+# against generate_synthetic below
 _DATA_TYPES = {
-    "features": object, "hierarchy": object, "synthetic": dict,
-    "old_fraction": object, "labelled_fraction": object, "split_seed": object,
+    "features": str, "hierarchy": str, "synthetic": dict,
+    "old_fraction": float, "labelled_fraction": float, "split_seed": int,
 }
+# the least value of each integer field (or of each entry of a list field)
+# that the types alone leave open
+_AT_LEAST = {"seed": 0, "data.split_seed": 0, "data.synthetic.seed": 0, "model.hidden": 1}
 
 
 def _type_ok(value, expected) -> bool:
-    """Whether a parsed JSON value fits an annotation: anything for
-    object, no bool for a number, an int for a float, a list for a
-    sequence or tuple type."""
+    """Whether a parsed JSON value fits an annotation: no bool for a
+    number, an int for a float, a list for a sequence or tuple type."""
     import types
     import typing
 
-    if expected is object:
-        return True
     if isinstance(expected, types.UnionType):
         return any(_type_ok(value, t) for t in typing.get_args(expected))
     if expected is type(None):
@@ -218,7 +219,9 @@ def load_run_config(path) -> dict:
     """Parse and validate a train config JSON: every section must be an
     object, unknown keys are errors, and each train/loss/model and
     data.synthetic value must fit the type of the config field or
-    generate_synthetic parameter it sets."""
+    generate_synthetic parameter it sets. Seeds must be at least 0 and
+    hidden widths at least 1. A violation is an InputError naming
+    path:field."""
     import typing
 
     from .datagen import generate_synthetic
@@ -228,13 +231,8 @@ def load_run_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    _check_section(
-        doc, {"seed": object, "data": dict, "train": dict, "loss": dict, "model": dict}, path
-    )
+    doc = read_json(path)
+    _check_section(doc, _TOP_TYPES, path)
     data = doc.get("data", {})
     _check_section(data, _DATA_TYPES, path, "data")
     if "synthetic" in data:
@@ -248,7 +246,27 @@ def load_run_config(path) -> dict:
         )
     for section, cls in (("train", TrainConfig), ("loss", LossConfig), ("model", ModelConfig)):
         _check_section(doc.get(section, {}), typing.get_type_hints(cls), path, section)
+    for field, least in _AT_LEAST.items():
+        value = doc
+        for key in field.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        values = value if isinstance(value, list) else [value]
+        if value is not None and any(v < least for v in values):
+            raise InputError(f"{path}:{field}: must be at least {least}, got {json.dumps(value)}")
     return doc
+
+
+def load_run(path, seed_override=None):
+    """load_run_config and build_run in one: a value that passes the type
+    checks but not the code it configures is an InputError naming the
+    config file too."""
+    doc = load_run_config(path)
+    if seed_override is not None and seed_override < 0:
+        raise InputError(f"--seed must be at least 0, got {seed_override}")
+    try:
+        return build_run(doc, seed_override)
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def build_run(doc: dict, seed_override=None):
@@ -258,7 +276,7 @@ def build_run(doc: dict, seed_override=None):
     from .losses import LossConfig
     from .trainer import ModelConfig, TrainConfig
 
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = doc.get("seed", 0) if seed_override is None else seed_override
     data = doc.get("data", {})
     known = frozenset()
     if "synthetic" in data:
@@ -272,7 +290,7 @@ def build_run(doc: dict, seed_override=None):
         dataset,
         old_fraction=float(data.get("old_fraction", 0.5)),
         labelled_fraction=float(data.get("labelled_fraction", 0.5)),
-        seed=int(data.get("split_seed", seed)),
+        seed=data.get("split_seed", seed),
         old_classes=known or None,
     )
     train_kwargs = dict(doc.get("train", {}))
@@ -287,9 +305,8 @@ def _cmd_train(args) -> int:
     from .model import save_checkpoint
     from .trainer import train
 
-    doc = load_run_config(args.config)
-    dataset, split, spec, train_cfg, loss_cfg, model_cfg, seed = build_run(
-        doc, seed_override=args.seed
+    dataset, split, spec, train_cfg, loss_cfg, model_cfg, seed = load_run(
+        args.config, seed_override=args.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -403,12 +420,7 @@ def _cmd_report(args) -> int:
     for line_num, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(
-                f"{metrics_path}: line {line_num}: invalid JSON ({exc})"
-            ) from exc
+        entry = parse_json(line, f"{metrics_path}: line {line_num}")
         if not isinstance(entry, dict):
             raise DataFormatError(
                 f"{metrics_path}: line {line_num}: expected a JSON object, got {line.strip()}"
@@ -432,10 +444,7 @@ def _cmd_report(args) -> int:
     summary = {"epochs": len(entries), "last_epoch": entries[-1]}
     final_path = run_dir / "final.json"
     if final_path.exists():
-        try:
-            final_doc = json.loads(final_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{final_path}: invalid JSON ({exc})") from exc
+        final_doc = read_json(final_path)
         if not isinstance(final_doc, dict):
             raise DataFormatError(f"{final_path}: expected a JSON object")
         summary["final"] = final_doc.get("final", {})

@@ -59,10 +59,16 @@ def split_acc(
     """
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
-    missing = set(np.unique(y_pred)) - set(assignment)
-    if missing:
-        raise InputError(f"assignment missing predicted clusters {sorted(missing)}")
-    mapped = np.array([assignment[int(c)] for c in y_pred], dtype=np.int64)
+    if y_pred.size and y_pred.min() < 0:
+        raise InputError("predicted clusters must be non-negative")
+    # a table from cluster id to class, indexed by y_pred; -1 marks an id
+    # the assignment lacks
+    table = np.full(max([*assignment, int(y_pred.max(initial=-1))]) + 1, -1, dtype=np.int64)
+    table[list(assignment)] = list(assignment.values())
+    mapped = table[y_pred]
+    if np.any(mapped < 0):
+        missing = np.unique(y_pred[mapped < 0]).tolist()
+        raise InputError(f"assignment missing predicted clusters {missing}")
     hits = mapped == y_true
     old_mask = np.isin(y_true, sorted(old_classes))
     acc_old = float(hits[old_mask].mean()) if old_mask.any() else None

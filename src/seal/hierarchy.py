@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, InputError
+from .errors import DataFormatError, InputError, read_json
 
 ROW_SUM_TOL = 1e-9
 
@@ -223,10 +223,7 @@ def load_hierarchy(path) -> tuple[HierarchySpec, frozenset[int]]:
     [level-H map]], "known": [fine indices], "names": optional}.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "counts" not in doc:
         raise DataFormatError(f"{path}: missing required key 'counts'")
     counts, parents = doc["counts"], doc.get("parents", [])

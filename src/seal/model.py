@@ -9,7 +9,9 @@ blocked from flowing into slices finer than h (the pass-through
 controller). Differentiation is manual reverse mode over a recorded
 forward trace, in float64 so finite-difference checks are meaningful;
 the trace keeps each hidden layer's erf so that backward reuses it
-instead of evaluating it again.
+instead of evaluating it again. An inference loop hands forward the
+trace of its previous batch to overwrite, so that a pass allocates no
+batch-sized array.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import DataFormatError, InputError, NumericError
+from .errors import DataFormatError, InputError, NumericError, read_json
 from .hierarchy import HierarchySpec
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -31,10 +33,13 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 PROTO_NORM_TOL = 1e-9
 
 
-def gelu(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, erf_x: np.ndarray, out=None, work=None) -> np.ndarray:
     """gelu at x, given erf_x = erf(x / sqrt(2)), which the forward pass
-    keeps for gelu_grad."""
-    return 0.5 * x * (1.0 + erf_x)
+    keeps for gelu_grad. The result goes to ``out`` and the term
+    1 + erf_x to ``work``, arrays shaped like x; each is a new array
+    when not given."""
+    half_x = np.multiply(0.5, x, out=out)
+    return np.multiply(half_x, np.add(1.0, erf_x, out=work), out=half_x)
 
 
 def gelu_grad(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
@@ -43,10 +48,11 @@ def gelu_grad(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf_x) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Row softmax, written to ``out`` (shaped like logits) when given."""
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 @dataclass
@@ -147,7 +153,8 @@ class ForwardTrace:
     """Everything the backward pass needs: layer pre-activations, the
     erf(a / sqrt(2)) of each (which backward reuses for the activation
     derivative) and activations, per-slice norms and normalized slices,
-    the renormalized aggregate, and per-level scores/logits/probabilities."""
+    the renormalized aggregate, and per-level scores/logits/probabilities.
+    ``work`` is the pass's scratch memory and holds no result."""
 
     x: np.ndarray
     pre_activations: list[np.ndarray]
@@ -161,14 +168,77 @@ class ForwardTrace:
     scores: list[np.ndarray]
     logits: list[np.ndarray]
     probs: list[np.ndarray]
+    work: np.ndarray = field(repr=False, compare=False)
 
     @property
     def batch_size(self) -> int:
         return self.x.shape[0]
 
+    def scratch(self, shape: tuple[int, int]) -> np.ndarray:
+        """A contiguous view of ``work`` with the given shape."""
+        return self.work[: shape[0] * shape[1]].reshape(shape)
 
-def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
+    def head(self, rows: int) -> "ForwardTrace":
+        """A trace of ``rows`` rows whose arrays are the leading rows of
+        this one's (contiguous views), for a shorter last batch."""
+        parts = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "work":
+                parts[f.name] = value
+            elif isinstance(value, list):
+                parts[f.name] = [a[:rows] for a in value]
+            else:
+                parts[f.name] = value[:rows]
+        return ForwardTrace(**parts)
+
+
+def _empty_trace(state: ModelState, x: np.ndarray) -> ForwardTrace:
+    """A trace for batch x with every array allocated and unfilled."""
+    n = x.shape[0]
+    hidden = [w.shape[1] for w in state.weights[:-1]]
+    widths = np.diff(state.slice_bounds).tolist()
+    classes = [p.shape[0] for p in state.prototypes]
+    return ForwardTrace(
+        x=x,
+        pre_activations=[np.empty((n, w)) for w in hidden],
+        erfs=[np.empty((n, w)) for w in hidden],
+        activations=[np.empty((n, w)) for w in hidden],
+        z_raw=np.empty((n, state.proj_dim)),
+        slice_norms=[np.empty((n, 1)) for _ in widths],
+        z_slices=[np.empty((n, w)) for w in widths],
+        cat_norm=np.empty((n, 1)),
+        z_hat=np.empty((n, state.proj_dim)),
+        scores=[np.empty((n, c)) for c in classes],
+        logits=[np.empty((n, c)) for c in classes],
+        probs=[np.empty((n, c)) for c in classes],
+        work=np.empty(n * max(hidden + [state.proj_dim])),
+    )
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # min and max propagate NaN, so both are finite exactly when every
+    # entry is; unlike np.isfinite(a).all() this makes no temporary
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _row_norms(rows: np.ndarray, out: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1, keepdims=True) with the same
+    operations, written to out; ``squares`` is a contiguous scratch
+    array shaped like rows."""
+    np.multiply(rows, rows, out=squares)
+    np.add.reduce(squares, axis=1, keepdims=True, out=out)
+    return np.sqrt(out, out=out)
+
+
+def forward(state: ModelState, x: np.ndarray, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the encoder and every per-level head on a batch.
+
+    ``out`` may be the trace of an earlier call on this model with the
+    same batch size: its arrays are overwritten in place and it is
+    returned, so the pass allocates no batch-sized array. The caller must
+    hold no references into ``out`` that it still needs. Without ``out``
+    a new trace is made; the bits are the same either way.
 
     Raises NumericError naming the layer if activations go non-finite,
     or if any slice collapses to zero norm.
@@ -178,57 +248,52 @@ def forward(state: ModelState, x: np.ndarray) -> ForwardTrace:
         raise InputError("input must be a non-empty (batch, features) matrix")
     if x.shape[1] != state.in_dim:
         raise InputError(f"input dim {x.shape[1]} does not match encoder dim {state.in_dim}")
-    pre_acts, erfs, acts = [], [], []
+    if out is None:
+        trace = _empty_trace(state, x)
+    elif out.batch_size != x.shape[0]:
+        raise InputError(
+            f"the trace to reuse holds {out.batch_size} rows, the batch has {x.shape[0]}"
+        )
+    else:
+        trace = out
+        trace.x = x
     h = x
-    n_hidden = len(state.weights) - 1
-    for layer in range(n_hidden):
-        a = h @ state.weights[layer] + state.biases[layer]
-        if not np.all(np.isfinite(a)):
+    for layer in range(len(state.weights) - 1):
+        a, e = trace.pre_activations[layer], trace.erfs[layer]
+        np.matmul(h, state.weights[layer], out=a)
+        a += state.biases[layer]
+        if not _all_finite(a):
             raise NumericError(f"non-finite activations in hidden layer {layer}")
-        pre_acts.append(a)
-        e = erf(a * _INV_SQRT2)
-        erfs.append(e)
-        h = gelu(a, e)
-        acts.append(h)
-    z_raw = h @ state.weights[-1] + state.biases[-1]
-    if not np.all(np.isfinite(z_raw)):
+        erf(np.multiply(a, _INV_SQRT2, out=e), out=e)
+        h = gelu(a, e, out=trace.activations[layer], work=trace.scratch(a.shape))
+    z_raw = np.matmul(h, state.weights[-1], out=trace.z_raw)
+    z_raw += state.biases[-1]
+    if not _all_finite(z_raw):
         raise NumericError("non-finite activations in projection layer")
 
+    # every head reads the full concatenation of the normalized slices;
+    # backward blocks finer slices
     bounds = state.slice_bounds
-    z_slices, slice_norms = [], []
     for lvl in range(state.levels):
-        s = z_raw[:, bounds[lvl] : bounds[lvl + 1]]
+        cols = slice(bounds[lvl], bounds[lvl + 1])
+        # copied out of z_raw first: a ufunc on the strided view would
+        # allocate an iteration buffer
+        s, n = trace.z_slices[lvl], trace.slice_norms[lvl]
+        s[...] = z_raw[:, cols]
         with np.errstate(over="ignore"):  # finiteness is checked explicitly below
-            n = np.linalg.norm(s, axis=1, keepdims=True)
+            _row_norms(s, n, trace.scratch(s.shape))
         if np.any(n == 0) or not np.all(np.isfinite(n)):
             raise NumericError(f"degenerate norm in slice normalization at level {lvl + 1}")
-        slice_norms.append(n)
-        z_slices.append(s / n)
-    # every head reads the full concatenation; backward blocks finer slices
-    z_cat = np.concatenate(z_slices, axis=1)
-    cat_norm = np.linalg.norm(z_cat, axis=1, keepdims=True)
-    z_hat = z_cat / cat_norm
+        s /= n
+        trace.z_hat[:, cols] = s
+    _row_norms(trace.z_hat, trace.cat_norm, trace.scratch(trace.z_hat.shape))
+    trace.z_hat /= trace.cat_norm
 
-    scores, logits, probs = [], [], []
-    for protos in state.prototypes:
-        sc = z_hat @ protos.T
-        scores.append(sc)
-        logits.append(sc / state.tau)
-        probs.append(softmax(logits[-1]))
-    return ForwardTrace(
-        x=x,
-        pre_activations=pre_acts,
-        erfs=erfs,
-        activations=acts,
-        z_raw=z_raw,
-        slice_norms=slice_norms,
-        z_slices=z_slices,
-        cat_norm=cat_norm,
-        z_hat=z_hat,
-        scores=scores,
-        logits=logits,
-        probs=probs,
-    )
+    for lvl, protos in enumerate(state.prototypes):
+        np.matmul(trace.z_hat, protos.T, out=trace.scores[lvl])
+        np.divide(trace.scores[lvl], state.tau, out=trace.logits[lvl])
+        softmax(trace.logits[lvl], out=trace.probs[lvl])
+    return trace
 
 
 @dataclass
@@ -400,10 +465,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         raise DataFormatError(f"{path}: no such checkpoint")
     if not sidecar_path.exists():
         raise DataFormatError(f"{sidecar_path}: missing metadata sidecar")
-    try:
-        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{sidecar_path}: invalid JSON ({exc})") from exc
+    meta = read_json(sidecar_path)
     blob = memoryview(path.read_bytes())
     if blob[:4] != _MAGIC:
         raise DataFormatError(f"{path}: bad magic bytes")

@@ -174,18 +174,31 @@ def _level_labels(spec: HierarchySpec, fine_labels: np.ndarray) -> list[np.ndarr
 
 
 def predict_levels(state: ModelState, features: np.ndarray, batch_size: int = 512):
-    """Argmax class predictions at every level, plus raw cosine scores."""
-    preds = [[] for _ in range(state.levels)]
-    scores = [[] for _ in range(state.levels)]
-    for start in range(0, features.shape[0], batch_size):
-        trace = forward(state, features[start : start + batch_size])
+    """Argmax class predictions at every level, plus raw cosine scores.
+
+    One forward pass per batch of ``batch_size`` rows; every batch after
+    the first overwrites the first batch's trace, so a call allocates one
+    trace however many rows it scores. The results go to arrays made once
+    per call, which the caller owns.
+    """
+    n = features.shape[0]
+    if n == 0:
+        raise InputError("no rows to predict")
+    preds = [np.empty(n, dtype=np.intp) for _ in range(state.levels)]
+    scores = [np.empty((n, protos.shape[0])) for protos in state.prototypes]
+    first = None
+    for start in range(0, n, batch_size):
+        batch = features[start : start + batch_size]
+        if first is None:
+            trace = first = forward(state, batch)
+        else:
+            # a shorter last batch runs in the leading rows of the first trace
+            trace = forward(state, batch, out=first.head(batch.shape[0]))
+        rows = slice(start, start + batch.shape[0])
         for lvl in range(state.levels):
-            preds[lvl].append(np.argmax(trace.probs[lvl], axis=1))
-            scores[lvl].append(trace.scores[lvl])
-    return (
-        [np.concatenate(p) for p in preds],
-        [np.concatenate(s) for s in scores],
-    )
+            np.argmax(trace.probs[lvl], axis=1, out=preds[lvl][rows])
+            scores[lvl][rows] = trace.scores[lvl]
+    return preds, scores
 
 
 def _refresh_transitions(state, features, transitions, tau_c, momentum):

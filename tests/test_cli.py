@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seal.cli import main
+from seal.errors import InputError
 
 
 TINY_CONFIG = {
@@ -49,6 +50,17 @@ def set_field(doc, dotted, value):
         target = target[name]
     target[last] = value
     return doc
+
+
+# JSON that a plain json.loads cannot take: an integer over Python's digit
+# limit, and nesting deeper than the parser recurses
+TOO_LONG_INT = '{"epoch": ' + "1" * 5001 + "}"
+TOO_DEEP = "[" * 100_000
+BEYOND_THE_PARSER = pytest.mark.parametrize(
+    "text, reason",
+    [(TOO_LONG_INT, "Exceeds the limit (4300 digits)"), (TOO_DEEP, "nested too deeply")],
+    ids=["too-long integer", "too-deep nesting"],
+)
 
 
 class TestGenerate:
@@ -151,6 +163,16 @@ class TestTrain:
         ("model.hidden", [6, "a"], "config.json:model.hidden: expected tuple[int, ...]"),
         ("data.synthetic.dim", "8", "config.json:data.synthetic.dim: expected int"),
         ("data.synthetic.counts", [2.0, 6], "config.json:data.synthetic.counts: expected list[int]"),
+        ("seed", "x", "config.json:seed: expected int"),
+        ("seed", 1.5, "config.json:seed: expected int"),
+        ("data.split_seed", "z", "config.json:data.split_seed: expected int"),
+        ("data.old_fraction", "a", "config.json:data.old_fraction: expected float"),
+        ("data.features", 3, "config.json:data.features: expected str"),
+        ("seed", -1, "config.json:seed: must be at least 0, got -1"),
+        ("data.split_seed", -1, "config.json:data.split_seed: must be at least 0"),
+        ("data.synthetic.seed", -1, "config.json:data.synthetic.seed: must be at least 0"),
+        ("model.hidden", [-3], "config.json:model.hidden: must be at least 1, got [-3]"),
+        ("model.hidden", [6, 0], "config.json:model.hidden: must be at least 1, got [6, 0]"),
     ])
     def test_mistyped_config_names_field(self, tmp_path, capsys, field, value, expected):
         doc = value if field is None else set_field(TINY_CONFIG, field, value)
@@ -178,6 +200,25 @@ class TestTrain:
         cfg.write_bytes(cfg.read_bytes().replace(b'"seed": 3', b'"seed\xff": 3'))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert f"{cfg}: invalid JSON" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        args = ["train", "--config", str(cfg), "--out", str(tmp_path / "r"), "--seed", "-1"]
+        assert main(args) == 1
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_value_the_builder_rejects_names_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, overrides={"train": {"epochs": 0}})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert f"seal: error: {cfg}: epochs must be >= 1" in capsys.readouterr().err
+
+    @BEYOND_THE_PARSER
+    def test_config_beyond_the_parser_names_file(self, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert f"seal: error: {cfg}: invalid JSON (" in err and reason in err
 
     def test_unknown_flag_exit_one(self, capsys):
         assert main(["train", "--confg", "x.json"]) == 1
@@ -375,6 +416,25 @@ class TestReport:
         assert main(["report", "--run", str(run_dir)]) == 1
         assert "final.json" in capsys.readouterr().err
 
+    @BEYOND_THE_PARSER
+    def test_metrics_line_beyond_the_parser_names_line(self, tmp_path, capsys, text, reason):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text('{"epoch": 0}\n' + text + "\n")
+        assert main(["report", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'metrics.jsonl'}: line 2: invalid JSON (" in err and reason in err
+
+    @BEYOND_THE_PARSER
+    def test_final_beyond_the_parser_names_file(self, tmp_path, capsys, text, reason):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text('{"epoch": 0}\n')
+        (run_dir / "final.json").write_text(text)
+        assert main(["report", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'final.json'}: invalid JSON (" in err and reason in err
+
     def test_non_utf8_metrics_names_file(self, tmp_path, capsys):
         run_dir = tmp_path / "r"
         run_dir.mkdir()
@@ -395,6 +455,69 @@ class TestReport:
         run_dir.mkdir()
         (run_dir / "metrics.jsonl").write_text("")
         assert main(["report", "--run", str(run_dir)]) == 1
+
+
+class TestConfigCorruption:
+    """Every corrupted train config either loads (load_run builds the
+    run) or is an InputError naming the file; through the CLI that is
+    exit 1."""
+
+    @staticmethod
+    def check(tmp_path, data: bytes):
+        from seal.cli import load_run
+
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        try:
+            load_run(path)
+        except InputError as exc:
+            assert str(path) in str(exc), exc
+            return str(exc)
+        return None
+
+    def test_reference_config_loads(self, tmp_path):
+        assert self.check(tmp_path, json.dumps(TINY_CONFIG, indent=1).encode()) is None
+
+    def test_every_truncation(self, tmp_path):
+        full = json.dumps(TINY_CONFIG, indent=1).encode()
+        messages = [self.check(tmp_path, full[:cut]) for cut in range(len(full))]
+        assert all(m is not None for m in messages)
+
+    def test_random_byte_edits(self, tmp_path):
+        # seeded byte edits anywhere in the file: overwrite, insert or delete
+        rng = np.random.default_rng(11)
+        full = json.dumps(TINY_CONFIG, indent=1).encode()
+        alphabet = b'0123456789.-+e"[]{},: \ntruefalsnl\xff\x00'
+        outcomes = set()
+        for _ in range(300):
+            data = bytearray(full)
+            for _ in range(int(rng.integers(1, 4))):
+                pos = int(rng.integers(len(data)))
+                byte = alphabet[int(rng.integers(len(alphabet)))]
+                edit = rng.integers(3)
+                if edit == 0:
+                    data[pos] = byte
+                elif edit == 1:
+                    data.insert(pos, byte)
+                else:
+                    del data[pos]
+            outcomes.add(self.check(tmp_path, bytes(data)) is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "x"), ("seed", 1.5), ("seed", -1), ("data.split_seed", "z"),
+        ("data.split_seed", -1), ("data.old_fraction", "a"), ("data.features", 3),
+        ("model.hidden", [-3]), ("model.hidden", [0]), ("data.synthetic.counts", [6, 2]),
+        ("data.old_fraction", 1.5), ("train.batch_size", 1),
+    ])
+    def test_bad_value_names_the_file(self, tmp_path, field, value):
+        assert self.check(tmp_path, json.dumps(set_field(TINY_CONFIG, field, value)).encode())
+
+    def test_truncated_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(TINY_CONFIG).encode()[:40])
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert f"seal: error: {cfg}: invalid JSON" in capsys.readouterr().err
 
 
 class TestDeterminism:

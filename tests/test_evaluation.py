@@ -98,6 +98,27 @@ class TestSplitAcc:
         with pytest.raises(InputError):
             split_acc(np.array([0, 1]), np.array([0, 2]), {0}, {0: 0, 1: 1})
 
+    def test_negative_cluster_rejected(self):
+        with pytest.raises(InputError, match="non-negative"):
+            split_acc(np.array([0, 1]), np.array([0, -1]), {0}, {0: 0, 1: 1})
+
+    def test_matches_a_per_sample_lookup(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            k = int(rng.integers(2, 9))
+            y_true = rng.integers(0, k, 60)
+            # clusters may skip ids and exceed the true class count
+            y_pred = rng.choice(rng.choice(k + 3, size=k, replace=False), size=60)
+            _, assignment = hungarian_acc(y_true, y_pred, k + 3)
+            old = set(rng.choice(k, size=int(rng.integers(1, k)), replace=False).tolist())
+            hits = np.array([assignment[int(c)] for c in y_pred]) == y_true
+            old_mask = np.isin(y_true, sorted(old))
+            expected = (
+                float(hits[old_mask].mean()) if old_mask.any() else None,
+                float(hits[~old_mask].mean()) if (~old_mask).any() else None,
+            )
+            assert split_acc(y_true, y_pred, old, assignment) == expected
+
     def test_all_acc_between_old_and_new(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

@@ -246,6 +246,18 @@ class TestHierarchyFile:
         with pytest.raises(DataFormatError, match="latin1.json"):
             load_hierarchy(path)
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"counts": [' + "1" * 5001 + "]}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000, "nested too deeply"),
+    ], ids=["too-long integer", "too-deep nesting"])
+    def test_json_beyond_the_parser_reports_path(self, tmp_path, text, reason):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            load_hierarchy(path)
+        assert str(info.value).startswith(f"{path}: invalid JSON (")
+        assert reason in str(info.value)
+
     def test_known_out_of_range(self, tmp_path):
         path = tmp_path / "taxonomy.json"
         path.write_text('{"counts": [2, 4], "parents": [[0, 0, 1, 1]], "known": [9]}')

@@ -2,7 +2,9 @@
 against central finite differences, gradient-mask behaviour, and the
 checkpoint container."""
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +155,71 @@ class TestForward:
         state, _ = tiny_state()
         with pytest.raises(InputError):
             forward(state, np.zeros((0, 4)))
+
+
+def trace_arrays(trace):
+    """Every result array of a trace, by field name and list index."""
+    out = {}
+    for f in dataclasses.fields(trace):
+        if not f.compare:  # the scratch memory holds no result
+            continue
+        value = getattr(trace, f.name)
+        for i, a in enumerate(value if isinstance(value, list) else [value]):
+            out[f"{f.name}[{i}]"] = a
+    return out
+
+
+class TestTraceReuse:
+    """forward(state, x, out=trace) overwrites the trace of an earlier
+    call and gives the bits of a fresh pass."""
+
+    @pytest.mark.parametrize("counts, hidden", [([2, 3, 6], (5, 7)), ([6], (5,))],
+                             ids=["three levels", "one level"])
+    def test_reused_trace_matches_a_fresh_one_bitwise(self, counts, hidden):
+        state = init_model(balanced_hierarchy(counts), in_dim=4, hidden=hidden, proj_dim=7, seed=4)
+        rng = np.random.default_rng(5)
+        x_old, x_new = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+        reused = forward(state, x_old)
+        assert forward(state, x_new, out=reused) is reused
+        fresh = trace_arrays(forward(state, x_new))
+        got = trace_arrays(reused)
+        assert list(got) == list(fresh)
+        for name, a in fresh.items():
+            assert got[name].dtype == a.dtype and got[name].shape == a.shape, name
+            assert got[name].tobytes() == a.tobytes(), name
+
+    def test_head_of_a_trace_gives_a_shorter_batch_the_same_bits(self):
+        state, _ = tiny_state(seed=6)
+        rng = np.random.default_rng(6)
+        trace = forward(state, rng.standard_normal((9, 4)))
+        x = rng.standard_normal((4, 4))
+        head = forward(state, x, out=trace.head(4))
+        fresh = trace_arrays(forward(state, x))
+        for name, a in trace_arrays(head).items():
+            assert a.tobytes() == fresh[name].tobytes(), name
+        assert np.shares_memory(head.z_hat, trace.z_hat)
+
+    def test_other_batch_size_rejected(self):
+        state, _ = tiny_state()
+        trace = forward(state, np.ones((3, 4)))
+        with pytest.raises(InputError, match="holds 3 rows, the batch has 4"):
+            forward(state, np.ones((4, 4)), out=trace)
+
+    def test_reused_pass_allocates_no_batch_sized_array(self):
+        state = init_model(
+            balanced_hierarchy([4, 12, 24]), in_dim=32, hidden=(64, 64), proj_dim=192, seed=0
+        )
+        x = np.random.default_rng(0).standard_normal((512, 32))
+        trace = forward(state, x)
+        forward(state, x, out=trace)  # warm up caches of numpy and scipy
+        tracemalloc.start()
+        try:
+            forward(state, x, out=trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a fresh pass peaks at about 5 MiB; a 512-row by 64-wide array is 256 KiB
+        assert peak < 256 * 1024, peak
 
 
 def reference_backward(state, trace, d_scores, d_slices):
@@ -338,6 +405,21 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("content, reason", [
+        ('{"levels": ' + "3" * 5001 + "}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000, "nested too deeply"),
+    ], ids=["too-long integer", "too-deep nesting"])
+    def test_sidecar_beyond_the_parser_rejected(self, tmp_path, content, reason):
+        state, _ = tiny_state()
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state)
+        sidecar = tmp_path / "model.seal.meta.json"
+        sidecar.write_text(content)
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{sidecar}: invalid JSON (")
+        assert reason in str(info.value)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         state, _ = tiny_state()

@@ -1,4 +1,5 @@
-"""The bits of training, pinned: SHA-256 digests of five short runs.
+"""The bits of training and inference, pinned: SHA-256 digests of five
+short runs and of one model's predicted scores.
 
 A change that keeps the numbers must keep these digests. A change that
 moves the bits on purpose updates the pins here and says so in
@@ -15,21 +16,25 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the criterion-8 `seal --deterministic train` metrics.jsonl, then
-# json.dumps({"epochs", "final"}, sort_keys=True) of run_arm(arm, seed=1, epochs=5)
+# json.dumps({"epochs", "final"}, sort_keys=True) of run_arm(arm, seed=1, epochs=5),
+# then the predict_levels scores of every level, level 1 first, of that seal
+# arm's model on the benchmark's unlabelled rows
 PINNED = {
     "criterion_8": "a778f0d267a0d792a3731dafc2565d3e06c81f1f104cdaf9f39edc7d176ad38a",
     "seal": "b49aa1a459ae8ad691dc78a67f74fe6b07a2e56ec934855cfea9846cbe0b3965",
     "baseline": "3d490b559b621ba0b4470feb18a72589fb905643af6110862e591d62a9a47d21",
     "seal_shuffled_hierarchy": "f658fe0019a85377f9aaca3ba45cdd578de91b62a69a6d4d18979adbb3766be8",
     "seal_no_cgc": "bf6a0f05375f5864af7554571a905e441f60a672126781d7b03c3f66eaf02eda",
+    "seal_predict_scores": "4f3b85c35adae9a1fecbb7c4b29926bd24128eba212c01d269223a96e0c182de",
 }
 
 SCRIPT = r"""
 import hashlib, json, sys
 from pathlib import Path
 
-from seal.benchmark import run_arm
+from seal.benchmark import arm_configs, benchmark_dataset
 from seal.cli import main
+from seal.trainer import predict_levels, train
 
 run = Path(sys.argv[1])
 # the config of acceptance criterion 8
@@ -51,10 +56,17 @@ code = main(["--deterministic", "train", "--config", str(run / "config.json"),
              "--out", str(run / "out")])
 assert code == 0, code
 digests = {"criterion_8": hashlib.sha256((run / "out" / "metrics.jsonl").read_bytes()).hexdigest()}
+_, ds, split = benchmark_dataset()
 for arm in ("seal", "baseline", "seal_shuffled_hierarchy", "seal_no_cgc"):
-    _, record = run_arm(arm, seed=1, epochs=5)
+    # what run_arm(arm, seed=1, epochs=5) does, keeping the model
+    spec, train_cfg, loss_cfg, model_cfg = arm_configs(arm, 1, 5)
+    state, record = train(ds, split, spec, 1, train_cfg, loss_cfg, model_cfg)
     blob = json.dumps({"epochs": record.epochs, "final": record.final}, sort_keys=True)
     digests[arm] = hashlib.sha256(blob.encode()).hexdigest()
+    if arm == "seal":
+        _, scores = predict_levels(state, ds.features[split.unlabelled])
+        scores_blob = b"".join(s.tobytes() for s in scores)
+        digests["seal_predict_scores"] = hashlib.sha256(scores_blob).hexdigest()
 print(json.dumps(digests))
 """
 

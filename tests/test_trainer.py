@@ -12,6 +12,7 @@ from seal.datagen import generate_synthetic, make_gcd_split
 from seal.errors import InputError, NumericError
 from seal.hierarchy import HierarchySpec, balanced_hierarchy
 from seal.losses import LossConfig
+from seal.model import forward, init_model
 from seal.trainer import (
     CyclingSampler,
     ModelConfig,
@@ -19,6 +20,7 @@ from seal.trainer import (
     cosine_lr,
     curriculum_lambda,
     make_views,
+    predict_levels,
     train,
     validation_split,
 )
@@ -145,6 +147,50 @@ class TestSamplers:
         np.testing.assert_array_equal(np.sort(np.concatenate([t1, v1])), labelled)
 
 
+class TestPredictLevels:
+    """predict_levels reuses one trace across its batches and must give
+    what one fresh forward pass per batch gives."""
+
+    @staticmethod
+    def state():
+        return init_model(balanced_hierarchy([2, 6]), in_dim=8, hidden=(16,), proj_dim=10, seed=2)
+
+    @staticmethod
+    def reference(state, features, batch_size=512):
+        traces = [
+            forward(state, features[start : start + batch_size])
+            for start in range(0, features.shape[0], batch_size)
+        ]
+        preds = [np.concatenate([np.argmax(t.probs[lvl], axis=1) for t in traces])
+                 for lvl in range(state.levels)]
+        scores = [np.concatenate([t.scores[lvl] for t in traces]) for lvl in range(state.levels)]
+        return preds, scores
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1800])
+    def test_matches_a_fresh_forward_per_batch(self, n):
+        state = self.state()
+        features = np.random.default_rng(n).standard_normal((n, 8))
+        preds, scores = predict_levels(state, features)
+        ref_preds, ref_scores = self.reference(state, features)
+        for got, ref in zip(preds + scores, ref_preds + ref_scores):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_a_second_call_leaves_the_first_results_alone(self):
+        state = self.state()
+        rng = np.random.default_rng(9)
+        first = predict_levels(state, rng.standard_normal((700, 8)))
+        kept = [a.copy() for a in first[0] + first[1]]
+        second = predict_levels(state, rng.standard_normal((700, 8)))
+        for a, b in zip(first[0] + first[1], kept):
+            assert np.array_equal(a, b)
+        assert not any(np.shares_memory(a, b) for a in first[1] for b in second[1])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(InputError, match="no rows"):
+            predict_levels(self.state(), np.zeros((0, 8)))
+
+
 class TestTrainLoop:
     def test_zero_lr_leaves_parameters_unchanged(self):
         spec, ds, split = tiny_dataset()
@@ -153,8 +199,6 @@ class TestTrainLoop:
             weight_decay=0.0, val_fraction=0.0,
         )
         lc = LossConfig()
-        from seal.model import init_model
-
         reference = init_model(
             spec, ds.dim, hidden=(6,), proj_dim=6, tau=lc.tau, tau_sharp=lc.tau_sharp, seed=4
         )
