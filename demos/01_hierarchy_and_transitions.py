@@ -15,7 +15,7 @@ from seal.hierarchy import (
     update_transition,
 )
 
-spec = balanced_hierarchy([2, 4, 8], names=None)
+spec = balanced_hierarchy([2, 4, 8])
 print("counts per level:", spec.counts)
 print("parent maps:", [m.tolist() for m in spec.parent_maps])
 

@@ -9,7 +9,6 @@ from seal.losses import (
     cgc_loss,
     fuse_hierarchy,
     hscl_loss,
-    hybrid_sim,
     similarity_matrix,
     soft_labels,
 )
@@ -34,10 +33,11 @@ for smooth in (0.0, 0.5, 1.0):
     print(f"soft labels at smoothness {smooth}: off-diagonal range "
           f"[{soft[~np.eye(4, dtype=bool)].min():+.2f}, {soft[~np.eye(4, dtype=bool)].max():+.2f}]")
 
+# hscl_loss's similarity: lam * cosine - (1 - lam) * distance of unit rows
 a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 print("\nhybrid similarity of orthogonal unit vectors:")
 for lam in (1.0, 0.5, 0.0):
-    print(f"  curriculum weight {lam}: {hybrid_sim(a, b, lam):+.4f}")
+    print(f"  curriculum weight {lam}: {lam * (a @ b) - (1 - lam) * np.linalg.norm(a - b):+.4f}")
 
 za = rng.standard_normal((4, 3))
 zb = rng.standard_normal((4, 3))

@@ -109,7 +109,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"seal: numeric failure: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing path, or one of the wrong kind; names the path
         print(f"seal: error: {exc}", file=sys.stderr)
         return 1
 
@@ -204,9 +204,10 @@ def _check_section(section, types: dict, path, name: str = "") -> None:
     where = f"{path}:{name}" if name else str(path)
     if not isinstance(section, dict):
         raise InputError(f"{where}: expected a JSON object, got {json.dumps(section)}")
-    unknown = set(section) - set(types)
+    unknown = sorted(set(section) - set(types))
     if unknown:
-        raise InputError(f"unknown key(s) in {where}: {sorted(unknown)}")
+        prefix = f"{where}." if name else f"{path}:"
+        raise InputError(", ".join(prefix + key for key in unknown) + ": unknown key(s)")
     for key, value in section.items():
         if not _type_ok(value, types[key]):
             field = f"{name}.{key}" if name else key
@@ -219,8 +220,9 @@ def load_run_config(path) -> dict:
     """Parse and validate a train config JSON: every section must be an
     object, unknown keys are errors, and each train/loss/model and
     data.synthetic value must fit the type of the config field or
-    generate_synthetic parameter it sets. Seeds must be at least 0 and
-    hidden widths at least 1. A violation is an InputError naming
+    generate_synthetic parameter it sets. The run's seed is the top-level
+    ``seed``, so ``train.seed`` is an unknown key. Seeds must be at least
+    0 and hidden widths at least 1. A violation is an InputError naming
     path:field."""
     import typing
 
@@ -245,7 +247,10 @@ def load_run_config(path) -> dict:
             f"{path}: data section needs either 'synthetic' or 'features'+'hierarchy'"
         )
     for section, cls in (("train", TrainConfig), ("loss", LossConfig), ("model", ModelConfig)):
-        _check_section(doc.get(section, {}), typing.get_type_hints(cls), path, section)
+        types = typing.get_type_hints(cls)
+        if section == "train":
+            del types["seed"]  # build_run sets it from the top-level seed
+        _check_section(doc.get(section, {}), types, path, section)
     for field, least in _AT_LEAST.items():
         value = doc
         for key in field.split("."):
@@ -293,9 +298,7 @@ def build_run(doc: dict, seed_override=None):
         seed=data.get("split_seed", seed),
         old_classes=known or None,
     )
-    train_kwargs = dict(doc.get("train", {}))
-    train_kwargs["seed"] = seed
-    train_cfg = TrainConfig(**train_kwargs)
+    train_cfg = TrainConfig(**doc.get("train", {}), seed=seed)
     loss_cfg = LossConfig(**doc.get("loss", {}))
     model_cfg = ModelConfig(**doc.get("model", {}))
     return dataset, split, spec, train_cfg, loss_cfg, model_cfg, seed
@@ -370,24 +373,26 @@ def _cmd_eval(args) -> int:
 
 def _dump_projection(args) -> None:
     """PCA the checkpointed model's aggregated features to two columns
-    for external plotting."""
+    for external plotting: one row per features row, its id as the file
+    gives it and the two coordinates as float reprs."""
     import numpy as np
 
-    from .datagen import load_embeddings
+    from .datagen import load_embeddings, load_labels
     from .model import forward, load_checkpoint
 
     if not args.features or not args.checkpoint:
         raise InputError("--dump-projection needs --features and --checkpoint")
     state, _ = load_checkpoint(args.checkpoint)
-    _, dataset = load_embeddings(args.features, args.hierarchy)
+    spec, dataset = load_embeddings(args.features, args.hierarchy)
+    ids, _ = load_labels(args.features, spec.levels)
     trace = forward(state, dataset.features)
     z = trace.z_hat - trace.z_hat.mean(axis=0)
     _, _, vt = np.linalg.svd(z, full_matrices=False)
     proj = z @ vt[:2].T
     with open(args.dump_projection, "w") as fh:
         fh.write("id,x,y\n")
-        for i in range(len(dataset)):
-            fh.write(f"{i},{proj[i, 0]!r},{proj[i, 1]!r}\n")
+        for ident, (x, y) in zip(ids.tolist(), proj.tolist()):
+            fh.write(f"{ident},{x!r},{y!r}\n")
 
 
 def _cmd_verify_theory(args) -> int:

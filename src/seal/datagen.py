@@ -244,19 +244,13 @@ def make_gcd_split(
     )
 
 
-def save_features_csv(path, dataset: Dataset, hide_labels_at=None) -> None:
-    """Write the headered feature CSV: id, level_1..level_H, f0..f{d-1}.
-
-    hide_labels_at: optional index array whose rows get -1 labels at all
-    levels (the unlabelled-set convention). Every value is written as
-    the repr of its Python int or float, comma-separated, with "\\r\\n"
-    line ends: the bytes csv.writer gives for the same rows.
+def save_features_csv(path, dataset: Dataset) -> None:
+    """Write the headered feature CSV: id, level_1..level_H, f0..f{d-1},
+    the id being the row number. Every value is written as the repr of
+    its Python int or float, comma-separated, with "\\r\\n" line ends:
+    the bytes csv.writer gives for the same rows.
     """
     spec = dataset.spec
-    hidden = np.zeros(len(dataset), dtype=bool)
-    if hide_labels_at is not None:
-        hidden[np.asarray(hide_labels_at, dtype=np.int64)] = True
-    labels = np.where(hidden[:, None], -1, dataset.labels)
     header = (
         ["id"]
         + [f"level_{h}" for h in range(1, spec.levels + 1)]
@@ -265,7 +259,7 @@ def save_features_csv(path, dataset: Dataset, hide_labels_at=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(len(dataset)):
-            fields = [i, *labels[i].tolist(), *dataset.features[i].tolist()]
+            fields = [i, *dataset.labels[i].tolist(), *dataset.features[i].tolist()]
             fh.write(",".join(map(repr, fields)) + "\r\n")
 
 

@@ -93,7 +93,7 @@ def level_map(spec: HierarchySpec, level: int) -> np.ndarray:
     return fine_to_level(spec, np.arange(spec.num_fine), level)
 
 
-def balanced_hierarchy(counts, names=None) -> HierarchySpec:
+def balanced_hierarchy(counts) -> HierarchySpec:
     """Build a spec whose parent maps distribute children contiguously
     and as evenly as possible (child k of level h+1 gets parent
     floor(k * n_h / n_{h+1}))."""
@@ -102,7 +102,7 @@ def balanced_hierarchy(counts, names=None) -> HierarchySpec:
     for parent_count, child_count in zip(counts, counts[1:]):
         children = np.arange(child_count, dtype=np.int64)
         maps.append((children * parent_count) // child_count)
-    return HierarchySpec(counts=counts, parent_maps=tuple(maps), names=names)
+    return HierarchySpec(counts=counts, parent_maps=tuple(maps))
 
 
 def shuffled_hierarchy(counts, seed: int) -> HierarchySpec:

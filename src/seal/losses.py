@@ -5,9 +5,10 @@ contrastive loss with its hybrid angle/distance similarity.
 
 Every loss returns its scalar value together with analytic gradients
 w.r.t. its immediate inputs (logits or features); the trainer chains
-those into parameter gradients via model.backward. Targets (pseudo-
-labels, similarity-derived soft labels, pseudo-coarse distributions)
-are constants by default.
+those into parameter gradients via model.backward. Pseudo-labels and
+similarity-derived soft labels are constants; cgc_loss also returns the
+gradient through its pseudo-coarse target, and trainer.objective decides
+which terms it applies.
 
 similarity_matrix and hscl_loss take unit-norm rows, the encoder's level
 slices, refuse any other row and build one Gram matrix per call.
@@ -181,20 +182,6 @@ def soft_labels(fused: np.ndarray, smoothness: float) -> np.ndarray:
     return (1.0 - smoothness) * np.eye(fused.shape[0]) + smoothness * fused
 
 
-def hybrid_sim(a: np.ndarray, b: np.ndarray, lam_c: float) -> float:
-    """Curriculum-weighted similarity of two vectors: lam_c times the dot
-    product minus (1 - lam_c) times the Euclidean distance of the
-    normalized vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise NumericError("zero-norm input to hybrid similarity")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericError("non-finite input to hybrid similarity")
-    return float(lam_c * (a @ b) - (1.0 - lam_c) * np.linalg.norm(a / na - b / nb))
-
-
 def hscl_loss(
     z: np.ndarray, z_prime: np.ndarray, soft: np.ndarray, lam_c: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -297,16 +284,16 @@ def cgc_loss(
     level_probs: list[np.ndarray],
     fine_probs: np.ndarray,
     transitions: list[TransitionMatrix],
-    detach_target: bool = True,
-) -> tuple[float, list[np.ndarray], np.ndarray | None]:
+) -> tuple[float, list[np.ndarray], np.ndarray]:
     """Cross-granularity consistency: per-level KL divergence between
     each coarse posterior and the fine posterior pushed through its
     transition matrix, summed over levels and averaged over the batch.
 
-    The pseudo-coarse target is a constant by default (distillation);
-    with detach_target=False the gradient w.r.t. the fine logits is
-    also returned. Target probabilities are floored at 1e-12 inside the
-    log. Gradients are w.r.t. the logits behind each posterior.
+    Returns the loss, the gradient w.r.t. the logits behind each coarse
+    posterior and the gradient w.r.t. the fine logits through the
+    pseudo-coarse target; a caller that treats the target as a constant
+    ignores the last. Target probabilities are floored at 1e-12 inside
+    the log.
     """
     fine_probs = np.asarray(fine_probs, dtype=np.float64)
     if len(level_probs) != len(transitions):
@@ -316,7 +303,7 @@ def cgc_loss(
     batch = fine_probs.shape[0]
     loss = 0.0
     d_levels: list[np.ndarray] = []
-    d_fine = None if detach_target else np.zeros_like(fine_probs)
+    d_fine = np.zeros_like(fine_probs)
     for p_h, tm in zip(level_probs, transitions):
         p_h = np.asarray(p_h, dtype=np.float64)
         if p_h.shape[0] != batch:
@@ -333,11 +320,10 @@ def cgc_loss(
         loss += float(kl_terms.sum() / batch)
         row_dot = (p_h * ratio).sum(axis=1, keepdims=True)
         d_levels.append(p_h * (ratio - row_dot) / batch)
-        if d_fine is not None:
-            # gradient into the target: only where the floor is inactive
-            d_target = np.where(target > KL_FLOOR, -p_h / floored, 0.0) / batch
-            v = d_target @ tm.entries.T
-            d_fine += fine_probs * (v - (fine_probs * v).sum(axis=1, keepdims=True))
+        # gradient into the target: only where the floor is inactive
+        d_target = np.where(target > KL_FLOOR, -p_h / floored, 0.0) / batch
+        v = d_target @ tm.entries.T
+        d_fine += fine_probs * (v - (fine_probs * v).sum(axis=1, keepdims=True))
     return loss, d_levels, d_fine
 
 

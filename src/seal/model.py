@@ -33,11 +33,10 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 PROTO_NORM_TOL = 1e-9
 
 
-def gelu(x: np.ndarray, erf_x: np.ndarray, out=None, work=None) -> np.ndarray:
+def gelu(x: np.ndarray, erf_x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """gelu at x, given erf_x = erf(x / sqrt(2)), which the forward pass
     keeps for gelu_grad. The result goes to ``out`` and the term
-    1 + erf_x to ``work``, arrays shaped like x; each is a new array
-    when not given."""
+    1 + erf_x to ``work``, arrays shaped like x."""
     half_x = np.multiply(0.5, x, out=out)
     return np.multiply(half_x, np.add(1.0, erf_x, out=work), out=half_x)
 
@@ -150,23 +149,22 @@ def init_model(
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs: layer pre-activations, the
-    erf(a / sqrt(2)) of each (which backward reuses for the activation
-    derivative) and activations, per-slice norms and normalized slices,
-    the renormalized aggregate, and per-level scores/logits/probabilities.
+    """Everything the backward pass and the training objective read:
+    layer pre-activations, the erf(a / sqrt(2)) of each (which backward
+    reuses for the activation derivative) and activations, per-slice
+    norms and normalized slices, the renormalized aggregate, and
+    per-level cosine scores and probabilities softmax(scores / tau).
     ``work`` is the pass's scratch memory and holds no result."""
 
     x: np.ndarray
     pre_activations: list[np.ndarray]
     erfs: list[np.ndarray]
     activations: list[np.ndarray]
-    z_raw: np.ndarray
     slice_norms: list[np.ndarray]
     z_slices: list[np.ndarray]
     cat_norm: np.ndarray
     z_hat: np.ndarray
     scores: list[np.ndarray]
-    logits: list[np.ndarray]
     probs: list[np.ndarray]
     work: np.ndarray = field(repr=False, compare=False)
 
@@ -204,13 +202,11 @@ def _empty_trace(state: ModelState, x: np.ndarray) -> ForwardTrace:
         pre_activations=[np.empty((n, w)) for w in hidden],
         erfs=[np.empty((n, w)) for w in hidden],
         activations=[np.empty((n, w)) for w in hidden],
-        z_raw=np.empty((n, state.proj_dim)),
         slice_norms=[np.empty((n, 1)) for _ in widths],
         z_slices=[np.empty((n, w)) for w in widths],
         cat_norm=np.empty((n, 1)),
         z_hat=np.empty((n, state.proj_dim)),
         scores=[np.empty((n, c)) for c in classes],
-        logits=[np.empty((n, c)) for c in classes],
         probs=[np.empty((n, c)) for c in classes],
         work=np.empty(n * max(hidden + [state.proj_dim])),
     )
@@ -266,9 +262,11 @@ def forward(state: ModelState, x: np.ndarray, out: ForwardTrace | None = None) -
             raise NumericError(f"non-finite activations in hidden layer {layer}")
         erf(np.multiply(a, _INV_SQRT2, out=e), out=e)
         h = gelu(a, e, out=trace.activations[layer], work=trace.scratch(a.shape))
-    z_raw = np.matmul(h, state.weights[-1], out=trace.z_raw)
-    z_raw += state.biases[-1]
-    if not _all_finite(z_raw):
+    # the projection goes into z_hat's buffer: each slice is copied out
+    # before it is normalized and written back into its own columns
+    z_hat = np.matmul(h, state.weights[-1], out=trace.z_hat)
+    z_hat += state.biases[-1]
+    if not _all_finite(z_hat):
         raise NumericError("non-finite activations in projection layer")
 
     # every head reads the full concatenation of the normalized slices;
@@ -276,23 +274,23 @@ def forward(state: ModelState, x: np.ndarray, out: ForwardTrace | None = None) -
     bounds = state.slice_bounds
     for lvl in range(state.levels):
         cols = slice(bounds[lvl], bounds[lvl + 1])
-        # copied out of z_raw first: a ufunc on the strided view would
-        # allocate an iteration buffer
+        # copied out first: a ufunc on the strided view would allocate an
+        # iteration buffer
         s, n = trace.z_slices[lvl], trace.slice_norms[lvl]
-        s[...] = z_raw[:, cols]
+        s[...] = z_hat[:, cols]
         with np.errstate(over="ignore"):  # finiteness is checked explicitly below
             _row_norms(s, n, trace.scratch(s.shape))
         if np.any(n == 0) or not np.all(np.isfinite(n)):
             raise NumericError(f"degenerate norm in slice normalization at level {lvl + 1}")
         s /= n
-        trace.z_hat[:, cols] = s
-    _row_norms(trace.z_hat, trace.cat_norm, trace.scratch(trace.z_hat.shape))
-    trace.z_hat /= trace.cat_norm
+        z_hat[:, cols] = s
+    _row_norms(z_hat, trace.cat_norm, trace.scratch(z_hat.shape))
+    z_hat /= trace.cat_norm
 
     for lvl, protos in enumerate(state.prototypes):
-        np.matmul(trace.z_hat, protos.T, out=trace.scores[lvl])
-        np.divide(trace.scores[lvl], state.tau, out=trace.logits[lvl])
-        softmax(trace.logits[lvl], out=trace.probs[lvl])
+        p = trace.probs[lvl]
+        np.matmul(z_hat, protos.T, out=trace.scores[lvl])
+        softmax(np.divide(trace.scores[lvl], state.tau, out=p), out=p)
     return trace
 
 
@@ -370,7 +368,7 @@ def backward(
             d_hat[:, :live] - radial * trace.z_hat[:, :live]
         ) / trace.cat_norm
 
-    d_raw = np.empty_like(trace.z_raw)
+    d_raw = np.empty_like(trace.z_hat)
     for lvl in range(levels):
         # a view: d_cat_total is not read again
         d_z = d_cat_total[:, bounds[lvl] : bounds[lvl + 1]]

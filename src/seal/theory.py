@@ -19,6 +19,11 @@ from .errors import InputError, NumericError
 
 MASS_TOL = 1e-12
 MAX_CELLS = 4 ** 5
+# axis names the checks read: the representation Z of the supervised
+# joint, the input X of the unsupervised one, and the labelled and
+# unlabelled blocks of the independence lemma
+Z_AXIS, X_AXIS = "Z", "X"
+ZL_AXIS, YL_AXIS, ZU_AXIS, YU_AXIS = "Zl", "Yl", "Zu", "Yu"
 
 
 @dataclass(frozen=True)
@@ -134,32 +139,30 @@ class BoundCheck:
         return self.rhs - self.lhs
 
 
-def check_supervised_bound(joint: DiscreteJoint, z_axis="Z", label_axes=None) -> BoundCheck:
+def check_supervised_bound(joint: DiscreteJoint) -> BoundCheck:
     """Multi-level label information dominates the finest level alone:
-    I(Z; Y_1..Y_H) >= I(Z; Y_H). Returns both sides; holds is lhs >= rhs
-    up to summation tolerance."""
-    if label_axes is None:
-        label_axes = tuple(a for a in joint.axes if a != z_axis)
-    label_axes = tuple(label_axes)
+    I(Z; Y_1..Y_H) >= I(Z; Y_H), the labels being every axis but Z in
+    joint order. Returns both sides; holds is lhs >= rhs up to summation
+    tolerance."""
+    label_axes = tuple(a for a in joint.axes if a != Z_AXIS)
     if not label_axes:
         raise InputError("need at least one label axis")
-    lhs = mutual_information(joint, (z_axis,), label_axes)
-    rhs = mutual_information(joint, (z_axis,), (label_axes[-1],))
+    lhs = mutual_information(joint, (Z_AXIS,), label_axes)
+    rhs = mutual_information(joint, (Z_AXIS,), (label_axes[-1],))
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - MASS_TOL)
 
 
-def check_unsupervised_bound(joint: DiscreteJoint, x_axis="X", pred_axes=None) -> BoundCheck:
+def check_unsupervised_bound(joint: DiscreteJoint) -> BoundCheck:
     """Entropy-difference form of the same tightening on predictions:
-    H(Yhat_1..H | X) - H(Yhat_1..H) <= -I(X; Yhat_H)."""
-    if pred_axes is None:
-        pred_axes = tuple(a for a in joint.axes if a != x_axis)
-    pred_axes = tuple(pred_axes)
+    H(Yhat_1..H | X) - H(Yhat_1..H) <= -I(X; Yhat_H), the predictions
+    being every axis but X in joint order."""
+    pred_axes = tuple(a for a in joint.axes if a != X_AXIS)
     if not pred_axes:
         raise InputError("need at least one prediction axis")
     h_joint = entropy(joint, pred_axes)
-    h_cond = entropy(joint, (x_axis,) + pred_axes) - entropy(joint, (x_axis,))
+    h_cond = entropy(joint, (X_AXIS,) + pred_axes) - entropy(joint, (X_AXIS,))
     lhs = h_cond - h_joint
-    rhs = -mutual_information(joint, (x_axis,), (pred_axes[-1],))
+    rhs = -mutual_information(joint, (X_AXIS,), (pred_axes[-1],))
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + MASS_TOL)
 
 
@@ -167,8 +170,6 @@ def check_combined_bound(
     sup_joint: DiscreteJoint,
     unsup_joint: DiscreteJoint,
     beta: float = 1.0,
-    z_axis="Z",
-    x_axis="X",
 ) -> BoundCheck:
     """The assembled objective bound: the multi-level objective value is
     a lower (tighter) estimate than the single-level one,
@@ -177,8 +178,8 @@ def check_combined_bound(
     sampling are independent)."""
     if beta < 0:
         raise InputError(f"beta must be non-negative, got {beta}")
-    sup = check_supervised_bound(sup_joint, z_axis=z_axis)
-    unsup = check_unsupervised_bound(unsup_joint, x_axis=x_axis)
+    sup = check_supervised_bound(sup_joint)
+    unsup = check_unsupervised_bound(unsup_joint)
     lhs = -sup.lhs + beta * unsup.lhs
     rhs = -sup.rhs + beta * unsup.rhs
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + MASS_TOL)
@@ -205,17 +206,16 @@ class IndependenceResiduals:
         return max(abs(self.label_given_label), abs(self.feature_given_feature))
 
 
-def check_independence_lemma(
-    joint: DiscreteJoint, zl="Zl", yl="Yl", zu="Zu", yu="Yu"
-) -> IndependenceResiduals:
-    """Evaluate I(Z_l;Y_u|Y_l) and I(Y_l;Z_u|Z_l) on a 4-axis joint.
+def check_independence_lemma(joint: DiscreteJoint) -> IndependenceResiduals:
+    """Evaluate I(Z_l;Y_u|Y_l) and I(Y_l;Z_u|Z_l) on a joint with the
+    axes Zl, Yl, Zu and Yu.
 
     Both are exactly 0 when the joint factors as p(z_l,y_l)*p(z_u,y_u);
     for coupled joints the residuals are reported, not asserted.
     """
     return IndependenceResiduals(
-        label_given_label=conditional_mi(joint, (zl,), (yu,), (yl,)),
-        feature_given_feature=conditional_mi(joint, (yl,), (zu,), (zl,)),
+        label_given_label=conditional_mi(joint, (ZL_AXIS,), (YU_AXIS,), (YL_AXIS,)),
+        feature_given_feature=conditional_mi(joint, (YL_AXIS,), (ZU_AXIS,), (ZL_AXIS,)),
     )
 
 

@@ -33,6 +33,12 @@ from .model import (
     renormalize_prototypes,
 )
 
+# rows per forward pass in predict_levels; the bits of the scores depend
+# on it (batches of 256, 1024 or 2048 each change hundreds to thousands
+# of the seal arm's scores), so every caller scores at this size
+PREDICT_BATCH = 512
+
+
 @dataclass
 class TrainConfig:
     """Loop hyperparameters: schedule, optimizer, batching."""
@@ -173,10 +179,10 @@ def _level_labels(spec: HierarchySpec, fine_labels: np.ndarray) -> list[np.ndarr
     return [level_map(spec, h)[fine_labels] for h in range(1, spec.levels + 1)]
 
 
-def predict_levels(state: ModelState, features: np.ndarray, batch_size: int = 512):
+def predict_levels(state: ModelState, features: np.ndarray):
     """Argmax class predictions at every level, plus raw cosine scores.
 
-    One forward pass per batch of ``batch_size`` rows; every batch after
+    One forward pass per batch of PREDICT_BATCH rows; every batch after
     the first overwrites the first batch's trace, so a call allocates one
     trace however many rows it scores. The results go to arrays made once
     per call, which the caller owns.
@@ -187,8 +193,8 @@ def predict_levels(state: ModelState, features: np.ndarray, batch_size: int = 51
     preds = [np.empty(n, dtype=np.intp) for _ in range(state.levels)]
     scores = [np.empty((n, protos.shape[0])) for protos in state.prototypes]
     first = None
-    for start in range(0, n, batch_size):
-        batch = features[start : start + batch_size]
+    for start in range(0, n, PREDICT_BATCH):
+        batch = features[start : start + PREDICT_BATCH]
         if first is None:
             trace = first = forward(state, batch)
         else:
@@ -381,10 +387,8 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
         # the term runs on view a and also trains the fine head through
         # the pseudo-coarse target
         tau_c = loss_cfg.tau_consistency
-        probs_c = [L.consistency_probs(logits, tau_c) for logits in trace_a.logits]
-        cgc_value, d_levels, d_fine = L.cgc_loss(
-            probs_c[:-1], probs_c[-1], transitions, detach_target=False
-        )
+        probs_c = [L.consistency_probs(s / state.tau, tau_c) for s in trace_a.scores]
+        cgc_value, d_levels, d_fine = L.cgc_loss(probs_c[:-1], probs_c[-1], transitions)
         d_scores_a = [
             d_cls + d / (state.tau * tau_c) for d_cls, d in zip(d_scores_a, d_levels + [d_fine])
         ]

@@ -210,13 +210,10 @@ def test_criterion_1_gradient_correctness():
     # (the fine head has an all-pass mask, so only it runs live there)
     def cgc_full_value(s):
         fine_live = consistency_probs(forward(s, xa).scores[2], tau_eff)
-        return cgc_loss(
-            [coarse_probs(s, 1), coarse_probs(s, 2)], fine_live, transitions,
-            detach_target=False,
-        )[0]
+        return cgc_loss([coarse_probs(s, 1), coarse_probs(s, 2)], fine_live, transitions)[0]
 
     probs = [consistency_probs(base_a.scores[h], tau_eff) for h in range(3)]
-    _, d_levels, d_fine = cgc_loss(probs[:2], probs[2], transitions, detach_target=False)
+    _, d_levels, d_fine = cgc_loss(probs[:2], probs[2], transitions)
     g = backward(
         state,
         base_a,
@@ -256,7 +253,7 @@ def test_criterion_1_gradient_correctness():
             hscl += hscl_loss(za[h], zb[h], softs[h], lam_c)[0]
             sup += supcon_loss(za[h], zb[h], label_cols[h], mask, cfg.tau)[0]
         probs_c = [consistency_probs(sc, tau_eff) for sc in sa]
-        cgc = cgc_loss(probs_c[:2], probs_c[2], moved, detach_target=False)[0]
+        cgc = cgc_loss(probs_c[:2], probs_c[2], moved)[0]
         return (1 - cfg.balance) * hscl + cfg.balance * sup + cls + cgc
 
     assert abs(objective_value(state) - components["loss_total"]) <= 1e-12 * abs(

@@ -143,6 +143,7 @@ class TestTrain:
         ("train", "cgc_both_views", False),
         ("model", "family_prototypes", False),
         ("model", "family_spread", 0.5),
+        ("train", "seed", 5),  # the run's seed is the top-level one
     ])
     def test_removed_config_key_rejected(self, tmp_path, capsys, section, key, value):
         doc = json.loads(json.dumps(TINY_CONFIG))
@@ -173,6 +174,7 @@ class TestTrain:
         ("data.synthetic.seed", -1, "config.json:data.synthetic.seed: must be at least 0"),
         ("model.hidden", [-3], "config.json:model.hidden: must be at least 1, got [-3]"),
         ("model.hidden", [6, 0], "config.json:model.hidden: must be at least 1, got [6, 0]"),
+        ("train.seed", 5, "config.json:train.seed: unknown key"),
     ])
     def test_mistyped_config_names_field(self, tmp_path, capsys, field, value, expected):
         doc = value if field is None else set_field(TINY_CONFIG, field, value)
@@ -343,10 +345,15 @@ class TestEvalCommand:
         ds = generate_synthetic(spec, per_class=10, dim=8, spreads=[6, 2, 0.4], seed=1)
         save_hierarchy(tmp_path / "h2.json", spec)
         save_features_csv(tmp_path / "feats.csv", ds)
+        # file-name ids, in the features file and the predictions alike
+        ids = [f"img_{i}.jpg" for i in range(len(ds))]
+        lines = (tmp_path / "feats.csv").read_text().splitlines()
+        rows = [ident + "," + line.split(",", 1)[1] for ident, line in zip(ids, lines[1:])]
+        (tmp_path / "feats.csv").write_text("\n".join([lines[0]] + rows) + "\n")
         with open(tmp_path / "pred2.csv", "w") as fh:
             fh.write("id,level_1,level_2\n")
             for i in range(len(ds)):
-                fh.write(f"{i},{ds.labels[i,0]},{ds.labels[i,1]}\n")
+                fh.write(f"{ids[i]},{ds.labels[i,0]},{ds.labels[i,1]}\n")
         code = main([
             "eval", "--pred", str(tmp_path / "pred2.csv"),
             "--truth", str(tmp_path / "feats.csv"),
@@ -359,6 +366,11 @@ class TestEvalCommand:
         lines = (tmp_path / "proj.csv").read_text().splitlines()
         assert lines[0] == "id,x,y"
         assert len(lines) == len(ds) + 1
+        cells = [line.split(",") for line in lines[1:]]
+        assert [c[0] for c in cells] == ids
+        assert all(len(c) == 3 for c in cells)
+        coords = np.array([[float(c[1]), float(c[2])] for c in cells])
+        assert np.all(np.isfinite(coords)) and np.ptp(coords, axis=0).min() > 0
 
 
 class TestVerifyTheory:
@@ -455,6 +467,116 @@ class TestReport:
         run_dir.mkdir()
         (run_dir / "metrics.jsonl").write_text("")
         assert main(["report", "--run", str(run_dir)]) == 1
+
+
+class TestPathOfTheWrongKind:
+    """A path that names a file where a directory is wanted, or a
+    directory where a file is wanted, is exit 1 naming the path."""
+
+    @pytest.mark.parametrize("case", [
+        "train --out file", "generate --out file", "train --config dir", "eval --pred dir",
+        "report metrics.jsonl dir",
+    ])
+    def test_exit_one_naming_the_path(self, tmp_path, capsys, case):
+        from seal.hierarchy import balanced_hierarchy, save_hierarchy
+
+        cfg = write_config(tmp_path)
+        a_file, a_dir = tmp_path / "taken", tmp_path / "folder"
+        a_file.write_text("x")
+        a_dir.mkdir()
+        save_hierarchy(tmp_path / "h.json", balanced_hierarchy([2, 4]))
+        (a_dir / "metrics.jsonl").mkdir()
+        argv, named = {
+            "train --out file": (["train", "--config", str(cfg), "--out", str(a_file)], a_file),
+            "generate --out file": (["generate", "--counts", "2,4", "--out", str(a_file)], a_file),
+            "train --config dir": (["train", "--config", str(a_dir), "--out", str(tmp_path)], a_dir),
+            "eval --pred dir": (
+                ["eval", "--pred", str(a_dir), "--truth", str(cfg),
+                 "--hierarchy", str(tmp_path / "h.json")],
+                a_dir,
+            ),
+            "report metrics.jsonl dir": (["report", "--run", str(a_dir)], a_dir / "metrics.jsonl"),
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seal: error: ") and str(named) in err, err
+
+
+class TestMetricsCorruption:
+    """Every corrupted metrics.jsonl either reports (exit 0) or is exit 1
+    with a message naming the file, and the line when a line is not
+    JSON; none ends in a traceback."""
+
+    ENTRIES = [
+        {"epoch": e, "lambda_c": 1.0 - e / 3, "loss_cgc": 0.25 / (e + 1), "loss_cls": 2.5 - e,
+         "loss_total": 3.125 - e, "lr": 0.1 / (e + 1), "val_acc": {"1": 0.5, "2": 0.25}}
+        for e in range(3)
+    ]
+    FULL = "".join(json.dumps(e, sort_keys=True) + "\n" for e in ENTRIES).encode()
+
+    @staticmethod
+    def check(tmp_path, capsys, data: bytes) -> int:
+        run_dir = tmp_path / "run"
+        run_dir.mkdir(exist_ok=True)
+        path = run_dir / "metrics.jsonl"
+        path.write_bytes(data)
+        code = main(["report", "--run", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (data, err)
+        if code == 1:
+            assert err.startswith("seal: error: ") and str(path) in err, (data, err)
+            if "invalid JSON" in err or "expected a JSON object" in err:
+                assert f"{path}: line " in err, (data, err)
+        return code
+
+    def test_reference_reports(self, tmp_path, capsys):
+        assert self.check(tmp_path, capsys, self.FULL) == 0
+        assert json.loads((tmp_path / "run" / "summary.json").read_text())["epochs"] == 3
+
+    def test_every_truncation(self, tmp_path, capsys):
+        codes = [self.check(tmp_path, capsys, self.FULL[:cut]) for cut in range(len(self.FULL))]
+        # a cut at either side of a newline leaves whole lines, which report
+        ends = [i for i, b in enumerate(self.FULL) if b == ord("\n")]
+        whole = set(ends) | {i + 1 for i in ends}
+        assert [c == 0 for c in codes] == [cut in whole for cut in range(len(self.FULL))]
+
+    def test_random_byte_edits(self, tmp_path, capsys):
+        # seeded byte edits anywhere in the file: overwrite, insert or delete
+        rng = np.random.default_rng(12)
+        alphabet = b'0123456789.-+e"[]{},: \ntruefalsnl\xff\x00'
+        codes = set()
+        for _ in range(300):
+            data = bytearray(self.FULL)
+            for _ in range(int(rng.integers(1, 4))):
+                pos = int(rng.integers(len(data)))
+                byte = alphabet[int(rng.integers(len(alphabet)))]
+                edit = rng.integers(3)
+                if edit == 0:
+                    data[pos] = byte
+                elif edit == 1:
+                    data.insert(pos, byte)
+                else:
+                    del data[pos]
+            codes.add(self.check(tmp_path, capsys, bytes(data)))
+        assert codes == {0, 1}
+
+    @pytest.mark.parametrize("line, code", [
+        ("[1, 2]", 1), ('"epoch"', 1), ("3", 1), ("null", 1), ("{}", 0),
+    ], ids=["list", "string", "number", "null", "empty object"])
+    def test_line_of_another_kind(self, tmp_path, capsys, line, code):
+        data = self.FULL + line.encode() + b"\n"
+        assert self.check(tmp_path, capsys, data) == code
+
+    @pytest.mark.parametrize("field, value", [
+        ("epoch", "zero"), ("epoch", None), ("epoch", [0]), ("lr", "fast"), ("lr", {"a": 1}),
+        ("lambda_c", True), ("loss_total", "x"), ("loss_total", None), ("loss_cls", [1.5]),
+        ("val_acc", 0.5),
+    ])
+    def test_value_of_the_wrong_type_reports(self, tmp_path, capsys, field, value):
+        entries = [dict(e) for e in self.ENTRIES]
+        entries[1][field] = value
+        data = "".join(json.dumps(e) + "\n" for e in entries).encode()
+        assert self.check(tmp_path, capsys, data) == 0
 
 
 class TestConfigCorruption:

@@ -147,7 +147,9 @@ class TestCsvRoundTrip:
         spec = two_level_spec()
         ds = generate_synthetic(spec, per_class=4, dim=6, spreads=[10, 1, 0.1], seed=0)
         save_hierarchy(tmp_path / "h.json", spec)
-        save_features_csv(tmp_path / "f.csv", ds, hide_labels_at=[0, 1])
+        labels = ds.labels.copy()
+        labels[[0, 1]] = -1
+        save_features_csv(tmp_path / "f.csv", Dataset(ds.features, labels, spec))
         _, loaded = load_embeddings(tmp_path / "f.csv", tmp_path / "h.json")
         assert loaded.labels[0].tolist() == [-1, -1]
         np.testing.assert_array_equal(loaded.labels[2:], ds.labels[2:])
@@ -185,16 +187,17 @@ class TestCsvRoundTrip:
 
 
 class TestCsvWriter:
-    @pytest.mark.parametrize("kwargs", [{}, {"hide_labels_at": [0, 5, 9]}])
-    def test_bytes_match_csv_writer(self, tmp_path, kwargs):
+    @pytest.mark.parametrize("hidden", [(), (0, 5, 9)])
+    def test_bytes_match_csv_writer(self, tmp_path, hidden):
         spec = balanced_hierarchy([2, 4, 8])
         ds = generate_synthetic(spec, per_class=3, dim=7, seed=4)
-        save_features_csv(tmp_path / "f.csv", ds, **kwargs)
+        marked = ds.labels.copy()
+        marked[list(hidden)] = -1
+        save_features_csv(tmp_path / "f.csv", Dataset(ds.features, marked, spec))
         # the writer before the bulk rewrite: csv.writer over per-element reprs
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["id", "level_1", "level_2", "level_3"] + [f"f{j}" for j in range(7)])
-        hidden = set(kwargs.get("hide_labels_at", []))
         for i in range(len(ds)):
             labels = [-1] * 3 if i in hidden else ds.labels[i].tolist()
             writer.writerow([i] + labels + [repr(float(v)) for v in ds.features[i]])

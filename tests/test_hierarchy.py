@@ -214,7 +214,7 @@ class TestTransitionMatrixInvariants:
 
 class TestHierarchyFile:
     def test_round_trip(self, tmp_path):
-        spec = balanced_hierarchy([2, 4, 8], names=None)
+        spec = balanced_hierarchy([2, 4, 8])
         path = tmp_path / "taxonomy.json"
         save_hierarchy(path, spec, known={0, 3})
         loaded, known = load_hierarchy(path)

@@ -137,7 +137,8 @@ class TestForward:
         assert len(trace.erfs) == len(trace.pre_activations) == 2
         for pre, e, act in zip(trace.pre_activations, trace.erfs, trace.activations):
             assert np.array_equal(e, erf(pre * INV_SQRT2))
-            assert np.array_equal(act, gelu(pre, erf(pre * INV_SQRT2)))
+            out, work = np.empty_like(pre), np.empty_like(pre)
+            assert np.array_equal(act, gelu(pre, erf(pre * INV_SQRT2), out, work))
 
     def test_slice_widths_split(self):
         assert slice_widths(6, 3) == [2, 2, 2]
@@ -221,6 +222,18 @@ class TestTraceReuse:
         # a fresh pass peaks at about 5 MiB; a 512-row by 64-wide array is 256 KiB
         assert peak < 256 * 1024, peak
 
+    def test_trace_of_the_benchmark_model_holds_only_what_is_read(self):
+        state = init_model(
+            balanced_hierarchy([4, 12, 24]), in_dim=32, hidden=(64, 64), proj_dim=192, seed=0
+        )
+        trace = forward(state, np.random.default_rng(0).standard_normal((512, 32)))
+        names = [f.name for f in dataclasses.fields(trace)]
+        assert "z_raw" not in names and "logits" not in names
+        # every array the pass allocates; the caller's batch x is not counted
+        owned = [getattr(trace, name) for name in names if name != "x"]
+        total = sum(a.nbytes for v in owned for a in (v if isinstance(v, list) else [v]))
+        assert total == 4_276_224
+
 
 def reference_backward(state, trace, d_scores, d_slices):
     """The plain form of backward: every head's norm backward runs over the
@@ -239,7 +252,7 @@ def reference_backward(state, trace, d_scores, d_slices):
         d_cat = norm_back(d_sc @ state.prototypes[lvl], trace.z_hat, trace.cat_norm)
         d_cat[:, bounds[lvl + 1] :] = 0.0
         d_cat_total += d_cat
-    d_raw = np.empty_like(trace.z_raw)
+    d_raw = np.empty_like(trace.z_hat)
     for lvl in range(state.levels):
         lo, hi = bounds[lvl], bounds[lvl + 1]
         d_z = d_cat_total[:, lo:hi].copy() + d_slices[lvl]
