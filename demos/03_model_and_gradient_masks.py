@@ -9,7 +9,7 @@ against central finite differences.
 import numpy as np
 
 from seal.hierarchy import balanced_hierarchy
-from seal.model import backward, forward, init_model
+from seal.model import backward, forward, init_model, softmax
 
 spec = balanced_hierarchy([2, 3, 6])
 state = init_model(spec, in_dim=8, hidden=(10,), proj_dim=9, seed=0)
@@ -21,8 +21,9 @@ print("slice widths:", np.diff(state.slice_bounds).tolist())
 print("every head reads one feature of norm",
       f"{np.linalg.norm(trace.z_hat[0]):.4f} over all {state.proj_dim} columns")
 
-print("\nprobability row sums per level:",
-      [float(p.sum(axis=1).mean()) for p in trace.probs])
+# the heads end at cosine scores; the classifier reads softmax(scores / tau)
+print("\nclassifier probability row sums per level:",
+      [float(softmax(s / state.tau).sum(axis=1).mean()) for s in trace.scores])
 
 # gradient from one head at a time: backward forms each head's gradient
 # over its own and coarser slices only, so finer slices' columns get none

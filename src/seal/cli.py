@@ -425,26 +425,30 @@ def _cmd_report(args) -> int:
     for line_num, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        entry = parse_json(line, f"{metrics_path}: line {line_num}")
+        where = f"{metrics_path}: line {line_num}"
+        entry = parse_json(line, where)
         if not isinstance(entry, dict):
-            raise DataFormatError(
-                f"{metrics_path}: line {line_num}: expected a JSON object, got {line.strip()}"
-            )
+            raise DataFormatError(f"{where}: expected a JSON object, got {line.strip()}")
+        # type() and not isinstance(), so that a bool is neither an epoch nor a number
+        epoch = entry.get("epoch")
+        if type(epoch) is not int:
+            raise DataFormatError(f"{where}: 'epoch' must be an integer, got {json.dumps(epoch)}")
+        for key, value in entry.items():
+            if (key.startswith("loss_") or key in ("lr", "lambda_c")) and type(value) not in (
+                int, float
+            ):
+                raise DataFormatError(f"{where}: {key!r} must be a number, got {json.dumps(value)}")
         entries.append(entry)
     if not entries:
         raise InputError(f"{metrics_path}: no metric entries")
 
-    loss_keys = sorted(
-        {k for e in entries for k in e if k.startswith("loss_")}
-    )
+    loss_keys = sorted({k for e in entries for k in e if k.startswith("loss_")})
+    columns = ["epoch", *loss_keys, "lr", "lambda_c"]
     curves_path = run_dir / "curves.csv"
     with open(curves_path, "w") as fh:
-        fh.write(",".join(["epoch"] + loss_keys + ["lr", "lambda_c"]) + "\n")
-        for e in entries:
-            row = [str(e.get("epoch"))]
-            row += [repr(e.get(k, "")) if isinstance(e.get(k), float) else str(e.get(k, "")) for k in loss_keys]
-            row += [repr(e.get("lr", "")), repr(e.get("lambda_c", ""))]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for e in entries:  # a missing value is an empty cell
+            fh.write(",".join(repr(e[k]) if k in e else "" for k in columns) + "\n")
 
     summary = {"epochs": len(entries), "last_epoch": entries[-1]}
     final_path = run_dir / "final.json"

@@ -43,8 +43,9 @@ class Dataset:
                 f"labels shape {labels.shape} does not match "
                 f"({features.shape[0]}, {spec.levels})"
             )
-        if not np.all(np.isfinite(features)):
-            raise InputError("features contain non-finite values")
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            raise InputError(f"row {int(np.argmin(finite))}: non-finite feature value")
         _check_label_consistency(labels, spec)
         self.features = features
         self.labels = labels
@@ -61,7 +62,7 @@ class Dataset:
         return self.labels[:, -1]
 
 
-def _check_label_consistency(labels: np.ndarray, spec: HierarchySpec, path=None) -> None:
+def _check_label_consistency(labels: np.ndarray, spec: HierarchySpec) -> None:
     """Every known (non -1) coarse label must be the ancestor of the
     row's fine label; rows with unknown fine labels are checked only for
     range."""
@@ -70,8 +71,8 @@ def _check_label_consistency(labels: np.ndarray, spec: HierarchySpec, path=None)
         bad = (col < -1) | (col >= spec.counts[h - 1])
         if bad.any():
             row = int(np.argmax(bad))
-            raise _format_or_input_error(
-                path, f"row {row}: level_{h} label {labels[row, h - 1]} outside "
+            raise InputError(
+                f"row {row}: level_{h} label {labels[row, h - 1]} outside "
                 f"[0, {spec.counts[h - 1]})"
             )
     fine = labels[:, -1]
@@ -82,17 +83,10 @@ def _check_label_consistency(labels: np.ndarray, spec: HierarchySpec, path=None)
         mismatch = has_fine & (col >= 0) & (col != ancestors[np.where(has_fine, fine, 0)])
         if mismatch.any():
             row = int(np.argmax(mismatch))
-            raise _format_or_input_error(
-                path,
+            raise InputError(
                 f"row {row}: level_{h} label {col[row]} is not the ancestor "
-                f"{ancestors[fine[row]]} of fine label {fine[row]}",
+                f"{ancestors[fine[row]]} of fine label {fine[row]}"
             )
-
-
-def _format_or_input_error(path, message):
-    if path is not None:
-        return DataFormatError(f"{path}: {message}")
-    return InputError(message)
 
 
 @dataclass(frozen=True)
@@ -334,14 +328,11 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
     _, table = _read_csv(path, row_dtype)
     if table.size == 0:
         raise DataFormatError(f"{path}: no data rows")
-    labels = np.ascontiguousarray(table["labels"])
     features = np.ascontiguousarray(table["features"])
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise DataFormatError(f"{path}: row {row}: non-finite feature value")
-    _check_label_consistency(labels, spec, path=path)
-    return spec, Dataset(features, labels, spec)
+    try:
+        return spec, Dataset(features, np.ascontiguousarray(table["labels"]), spec)
+    except InputError as exc:  # the Dataset's own checks, named for the file
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_labels(path, levels: int) -> tuple[np.ndarray, np.ndarray]:

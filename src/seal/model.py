@@ -47,9 +47,9 @@ def gelu_grad(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf_x) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
 
 
-def softmax(logits: np.ndarray, out=None) -> np.ndarray:
-    """Row softmax, written to ``out`` (shaped like logits) when given."""
-    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax."""
+    e = logits - logits.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
@@ -152,8 +152,8 @@ class ForwardTrace:
     """Everything the backward pass and the training objective read:
     layer pre-activations, the erf(a / sqrt(2)) of each (which backward
     reuses for the activation derivative) and activations, per-slice
-    norms and normalized slices, the renormalized aggregate, and
-    per-level cosine scores and probabilities softmax(scores / tau).
+    norms and normalized slices, the renormalized aggregate, and the
+    per-level cosine scores (the training objective applies temperatures).
     ``work`` is the pass's scratch memory and holds no result."""
 
     x: np.ndarray
@@ -165,7 +165,6 @@ class ForwardTrace:
     cat_norm: np.ndarray
     z_hat: np.ndarray
     scores: list[np.ndarray]
-    probs: list[np.ndarray]
     work: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -207,7 +206,6 @@ def _empty_trace(state: ModelState, x: np.ndarray) -> ForwardTrace:
         cat_norm=np.empty((n, 1)),
         z_hat=np.empty((n, state.proj_dim)),
         scores=[np.empty((n, c)) for c in classes],
-        probs=[np.empty((n, c)) for c in classes],
         work=np.empty(n * max(hidden + [state.proj_dim])),
     )
 
@@ -228,7 +226,7 @@ def _row_norms(rows: np.ndarray, out: np.ndarray, squares: np.ndarray) -> np.nda
 
 
 def forward(state: ModelState, x: np.ndarray, out: ForwardTrace | None = None) -> ForwardTrace:
-    """Run the encoder and every per-level head on a batch.
+    """Run the encoder and every per-level head up to its cosine scores.
 
     ``out`` may be the trace of an earlier call on this model with the
     same batch size: its arrays are overwritten in place and it is
@@ -288,9 +286,7 @@ def forward(state: ModelState, x: np.ndarray, out: ForwardTrace | None = None) -
     z_hat /= trace.cat_norm
 
     for lvl, protos in enumerate(state.prototypes):
-        p = trace.probs[lvl]
         np.matmul(z_hat, protos.T, out=trace.scores[lvl])
-        softmax(np.divide(trace.scores[lvl], state.tau, out=p), out=p)
     return trace
 
 

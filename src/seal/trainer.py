@@ -31,6 +31,7 @@ from .model import (
     forward,
     init_model,
     renormalize_prototypes,
+    softmax,
 )
 
 # rows per forward pass in predict_levels; the bits of the scores depend
@@ -180,7 +181,8 @@ def _level_labels(spec: HierarchySpec, fine_labels: np.ndarray) -> list[np.ndarr
 
 
 def predict_levels(state: ModelState, features: np.ndarray):
-    """Argmax class predictions at every level, plus raw cosine scores.
+    """Argmax class predictions at every level, taken of the raw cosine
+    scores (softmax(scores / tau) keeps their order), plus those scores.
 
     One forward pass per batch of PREDICT_BATCH rows; every batch after
     the first overwrites the first batch's trace, so a call allocates one
@@ -202,7 +204,7 @@ def predict_levels(state: ModelState, features: np.ndarray):
             trace = forward(state, batch, out=first.head(batch.shape[0]))
         rows = slice(start, start + batch.shape[0])
         for lvl in range(state.levels):
-            np.argmax(trace.probs[lvl], axis=1, out=preds[lvl][rows])
+            np.argmax(trace.scores[lvl], axis=1, out=preds[lvl][rows])
             scores[lvl][rows] = trace.scores[lvl]
     return preds, scores
 
@@ -340,11 +342,13 @@ def _compose_batch(lab_sampler, unlab_sampler, batch_size):
 def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, loss_cfg, lam_c):
     """The summed training loss of a two-view batch and its gradient.
 
-    The one place the loss terms and their gradient scales are combined:
-    per level, the classification term averaged over the two views, and
-    the soft contrastive and supervised contrastive terms mixed by
-    ``balance``; then, when transition matrices are given, the
-    consistency term on view a. Returns the ``loss_*`` components and the
+    The one place the loss terms and their gradient scales are combined,
+    and where the heads' cosine scores meet all three temperatures: per
+    level, the classification term on softmax(scores / tau) against the
+    other view's pseudo-labels at tau_sharp, averaged over the two views,
+    and the soft contrastive and supervised contrastive terms mixed by
+    ``balance``; then, with transition matrices, the consistency term on
+    view a at tau * tau_c. Returns the ``loss_*`` components and the
     ParamGrads of ``loss_total``. Pseudo-labels, soft targets and the
     coarse heads' finer slices are constants, as the gradient controller
     makes them.
@@ -356,14 +360,18 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
     # what soft_labels returns then, so no similarity is computed
     soft = np.eye(view_a.shape[0]) if smoothness == 0 else None
     sims: list[np.ndarray] = []
+    logits_a: list[np.ndarray] = []
     d_scores_a, d_scores_b, d_slices_a, d_slices_b = [], [], [], []
     cls_sum = hscl_sum = sup_sum = 0.0
     for h, labels_h in enumerate(batch_labels):
         za, zb = trace_a.z_slices[h], trace_b.z_slices[h]
         pseudo_b = L.sharpen(trace_b.scores[h], state.tau_sharp)
         pseudo_a = L.sharpen(trace_a.scores[h], state.tau_sharp)
-        loss_a, d_log_a = L.cls_loss(trace_a.probs[h], pseudo_b, labels_h, labelled_mask, loss_cfg)
-        loss_b, d_log_b = L.cls_loss(trace_b.probs[h], pseudo_a, labels_h, labelled_mask, loss_cfg)
+        # the classifier logits; the consistency term reads view a's again
+        logits_a.append(trace_a.scores[h] / state.tau)
+        probs_a, probs_b = softmax(logits_a[h]), softmax(trace_b.scores[h] / state.tau)
+        loss_a, d_log_a = L.cls_loss(probs_a, pseudo_b, labels_h, labelled_mask, loss_cfg)
+        loss_b, d_log_b = L.cls_loss(probs_b, pseudo_a, labels_h, labelled_mask, loss_cfg)
         cls_sum += 0.5 * (loss_a + loss_b)
         # the two views are averaged, and the logits are scores / tau
         d_scores_a.append(d_log_a / (2.0 * state.tau))
@@ -382,12 +390,12 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
 
     cgc_value = 0.0
     if transitions:
-        # consistency posteriors soften the classifier logits (scores / tau)
-        # by tau_c, so the chain back to raw scores carries 1 / (tau * tau_c);
-        # the term runs on view a and also trains the fine head through
-        # the pseudo-coarse target
+        # consistency posteriors soften the classifier logits by tau_c, so
+        # the chain back to raw scores carries 1 / (tau * tau_c); the term
+        # runs on view a and also trains the fine head through the
+        # pseudo-coarse target
         tau_c = loss_cfg.tau_consistency
-        probs_c = [L.consistency_probs(s / state.tau, tau_c) for s in trace_a.scores]
+        probs_c = [L.consistency_probs(logits, tau_c) for logits in logits_a]
         cgc_value, d_levels, d_fine = L.cgc_loss(probs_c[:-1], probs_c[-1], transitions)
         d_scores_a = [
             d_cls + d / (state.tau * tau_c) for d_cls, d in zip(d_scores_a, d_levels + [d_fine])

@@ -25,14 +25,12 @@ from seal.losses import (
     cgc_loss,
     cls_loss,
     consistency_probs,
-    fuse_hierarchy,
     hscl_loss,
-    sharpen,
     similarity_matrix,
     soft_labels,
     supcon_loss,
 )
-from seal.model import backward, forward, init_model
+from seal.model import backward, forward, init_model, softmax
 from seal.theory import (
     chain_rule_residual,
     check_independence_lemma,
@@ -43,8 +41,15 @@ from seal.theory import (
 )
 from seal.trainer import objective
 
-FD_STEP = 1e-6
-GRAD_RTOL = 1e-5
+from objective_reference import (
+    FD_STEP,
+    GRAD_RTOL,
+    assign,
+    flatten,
+    frozen_scores,
+    grads_vector,
+    objective_reference,
+)
 
 
 def report(criterion, name, ok, detail):
@@ -58,36 +63,17 @@ def report(criterion, name, ok, detail):
 # ------------------------------------------------------------------
 
 
-def _flatten(state):
-    return np.concatenate(
-        [t.ravel() for t in state.weights + state.biases + state.prototypes]
-    )
-
-
-def _assign(state, vec):
-    offset = 0
-    for t in state.weights + state.biases + state.prototypes:
-        t[...] = vec[offset : offset + t.size].reshape(t.shape)
-        offset += t.size
-
-
-def _grads_vector(grads):
-    return np.concatenate(
-        [t.ravel() for t in grads.weights + grads.biases + grads.prototypes]
-    )
-
-
 def _fd(value_fn, state):
-    base = _flatten(state)
+    base = flatten(state)
     out = np.zeros_like(base)
     work = state.copy()
     for i in range(base.size):
         probe = base.copy()
         probe[i] = base[i] + FD_STEP
-        _assign(work, probe)
+        assign(work, probe)
         hi = value_fn(work)
         probe[i] = base[i] - FD_STEP
-        _assign(work, probe)
+        assign(work, probe)
         lo = value_fn(work)
         out[i] = (hi - lo) / (2 * FD_STEP)
     return out
@@ -95,19 +81,6 @@ def _fd(value_fn, state):
 
 def _rel_err(analytic, fd):
     return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12))
-
-
-def _frozen_scores(state, x, level, frozen_slices):
-    """Level head value with finer slices constant (the stop-gradient's
-    value semantics, expressed as a plain function for differencing)."""
-    trace = forward(state, x)
-    slices = [
-        trace.z_slices[k] if k < level else frozen_slices[k]
-        for k in range(state.levels)
-    ]
-    cat = np.concatenate(slices, axis=1)
-    z_hat = cat / np.linalg.norm(cat, axis=1, keepdims=True)
-    return z_hat @ state.prototypes[level - 1].T
 
 
 def test_criterion_1_gradient_correctness():
@@ -127,14 +100,15 @@ def test_criterion_1_gradient_correctness():
     worst = {}
 
     # classification head at the finest level (all-pass mask)
-    pseudo = base_b.probs[2].copy()
+    pseudo = softmax(base_b.scores[2] / state.tau)
 
     def cls_value(s):
-        p = forward(s, xa).probs[2]
+        p = softmax(forward(s, xa).scores[2] / s.tau)
         return cls_loss(p, pseudo, label_cols[2], mask, cfg)[0]
 
-    _, d_logits = cls_loss(base_a.probs[2], pseudo, label_cols[2], mask, cfg)
-    analytic = _grads_vector(
+    probs_a = [softmax(sc / state.tau) for sc in base_a.scores]
+    _, d_logits = cls_loss(probs_a[2], pseudo, label_cols[2], mask, cfg)
+    analytic = grads_vector(
         backward(state, base_a, d_scores=[None, None, d_logits / state.tau])
     )
     worst["cls"] = _rel_err(analytic, _fd(cls_value, state))
@@ -142,16 +116,15 @@ def test_criterion_1_gradient_correctness():
     # classification head at level 1: finite differences against the
     # frozen-finer-slice function, plus exact zero on blocked paths
     frozen = [z.copy() for z in base_a.z_slices]
-    pseudo1 = base_b.probs[0].copy()
+    pseudo1 = softmax(base_b.scores[0] / state.tau)
 
     def cls1_value(s):
-        scores = _frozen_scores(s, xa, 1, frozen)
-        p = consistency_probs(scores, s.tau)  # softmax(scores / tau)
+        p = softmax(frozen_scores(s, xa, 1, frozen) / s.tau)
         return cls_loss(p, pseudo1, label_cols[0], mask, cfg)[0]
 
-    _, d_logits1 = cls_loss(base_a.probs[0], pseudo1, label_cols[0], mask, cfg)
+    _, d_logits1 = cls_loss(probs_a[0], pseudo1, label_cols[0], mask, cfg)
     grads1 = backward(state, base_a, d_scores=[d_logits1 / state.tau, None, None])
-    worst["cls_blocked"] = _rel_err(_grads_vector(grads1), _fd(cls1_value, state))
+    worst["cls_blocked"] = _rel_err(grads_vector(grads1), _fd(cls1_value, state))
     bounds = state.slice_bounds
     blocked_zero = (
         np.all(grads1.weights[-1][:, bounds[1] :] == 0.0)
@@ -171,7 +144,7 @@ def test_criterion_1_gradient_correctness():
     _, dza, dzb = hscl_loss(base_a.z_slices[1], base_b.z_slices[1], soft, lam_c)
     g = backward(state, base_a, d_slices=[None, dza, None])
     g.add_(backward(state, base_b, d_slices=[None, dzb, None]))
-    worst["hscl"] = _rel_err(_grads_vector(g), _fd(hscl_value, state))
+    worst["hscl"] = _rel_err(grads_vector(g), _fd(hscl_value, state))
 
     # supervised contrastive at the finest level
     def supcon_value(s):
@@ -184,7 +157,7 @@ def test_criterion_1_gradient_correctness():
     )
     g = backward(state, base_a, d_slices=[None, None, dza])
     g.add_(backward(state, base_b, d_slices=[None, None, dzb]))
-    worst["supcon"] = _rel_err(_grads_vector(g), _fd(supcon_value, state))
+    worst["supcon"] = _rel_err(grads_vector(g), _fd(supcon_value, state))
 
     # consistency distillation, detached target (frozen fine posterior);
     # coarse heads carry the stop-gradient mask, so their finite-difference
@@ -194,7 +167,7 @@ def test_criterion_1_gradient_correctness():
     fine_frozen = consistency_probs(base_a.scores[2], tau_eff)
 
     def coarse_probs(s, level):
-        return consistency_probs(_frozen_scores(s, xa, level, frozen), tau_eff)
+        return consistency_probs(frozen_scores(s, xa, level, frozen), tau_eff)
 
     def cgc_value(s):
         return cgc_loss([coarse_probs(s, 1), coarse_probs(s, 2)], fine_frozen, transitions)[0]
@@ -204,7 +177,7 @@ def test_criterion_1_gradient_correctness():
     g = backward(
         state, base_a, d_scores=[d_levels[0] / tau_eff, d_levels[1] / tau_eff, None]
     )
-    worst["cgc"] = _rel_err(_grads_vector(g), _fd(cgc_value, state))
+    worst["cgc"] = _rel_err(grads_vector(g), _fd(cgc_value, state))
 
     # consistency distillation with full backpropagation into the target
     # (the fine head has an all-pass mask, so only it runs live there)
@@ -219,7 +192,7 @@ def test_criterion_1_gradient_correctness():
         base_a,
         d_scores=[d_levels[0] / tau_eff, d_levels[1] / tau_eff, d_fine / tau_eff],
     )
-    worst["cgc_full"] = _rel_err(_grads_vector(g), _fd(cgc_full_value, state))
+    worst["cgc_full"] = _rel_err(grads_vector(g), _fd(cgc_full_value, state))
 
     # the whole training objective: the summed loss_total against the
     # gradient objective returns, through non-uniform transition rows and
@@ -235,31 +208,12 @@ def test_criterion_1_gradient_correctness():
     ]
     assert all(np.ptp(tm.entries[2:]) > 0.01 for tm in moved)
     components, grads = objective(state, xa, xb, mask, label_cols, moved, cfg, lam_c)
-    frozen_b = [z.copy() for z in base_b.z_slices]
-    targets_a = [sharpen(s, state.tau_sharp) for s in base_b.scores]
-    targets_b = [sharpen(s, state.tau_sharp) for s in base_a.scores]
-    sims = [similarity_matrix(z) for z in base_a.z_slices]
-    softs = [soft_labels(fuse_hierarchy(sims[: h + 1]), cfg.soft_smoothness) for h in range(3)]
-
-    def objective_value(s):
-        za, zb = forward(s, xa).z_slices, forward(s, xb).z_slices
-        sa = [_frozen_scores(s, xa, h, frozen) for h in (1, 2, 3)]
-        sb = [_frozen_scores(s, xb, h, frozen_b) for h in (1, 2, 3)]
-        cls = hscl = sup = 0.0
-        for h in range(3):
-            pa, pb = consistency_probs(sa[h], s.tau), consistency_probs(sb[h], s.tau)
-            cls += 0.5 * (cls_loss(pa, targets_a[h], label_cols[h], mask, cfg)[0]
-                          + cls_loss(pb, targets_b[h], label_cols[h], mask, cfg)[0])
-            hscl += hscl_loss(za[h], zb[h], softs[h], lam_c)[0]
-            sup += supcon_loss(za[h], zb[h], label_cols[h], mask, cfg.tau)[0]
-        probs_c = [consistency_probs(sc, tau_eff) for sc in sa]
-        cgc = cgc_loss(probs_c[:2], probs_c[2], moved)[0]
-        return (1 - cfg.balance) * hscl + cfg.balance * sup + cls + cgc
+    objective_value = objective_reference(state, xa, xb, mask, label_cols, moved, cfg, lam_c)
 
     assert abs(objective_value(state) - components["loss_total"]) <= 1e-12 * abs(
         components["loss_total"]
     )
-    worst["objective"] = _rel_err(_grads_vector(grads), _fd(objective_value, state))
+    worst["objective"] = _rel_err(grads_vector(grads), _fd(objective_value, state))
 
     elapsed = time.perf_counter() - started
     ok = all(err < GRAD_RTOL for err in worst.values()) and blocked_zero and elapsed < 30

@@ -396,13 +396,54 @@ class TestReport:
         assert main(["report", "--run", str(out)]) == 0
         curves = (out / "curves.csv").read_text().splitlines()
         assert len(curves) == 4  # header + 3 epochs
-        assert curves[0].split(",")[0] == "epoch"
+        # the bytes the writer gave before epoch lines were checked: str of
+        # the epoch, then the repr of each loss, lr and lambda_c
+        entries = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        keys = sorted(k for k in entries[0] if k.startswith("loss_"))
+        rows = [["epoch", *keys, "lr", "lambda_c"]] + [
+            [str(e["epoch"]), *(repr(e[k]) for k in keys), repr(e["lr"]), repr(e["lambda_c"])]
+            for e in entries
+        ]
+        assert curves == [",".join(r) for r in rows]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["epochs"] == 3
         assert "all" in summary["final"]
 
     def test_missing_metrics_exit_one(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 1
+
+    GOOD = '{"epoch": 0, "loss_total": 1.5, "lr": 0.1, "lambda_c": 1.0}'
+
+    @pytest.mark.parametrize("line, message", [
+        ("{}", "'epoch' must be an integer, got null"),
+        ('{"epoch": "zero", "loss_total": "x"}', "'epoch' must be an integer, got \"zero\""),
+        ('{"epoch": 1.0}', "'epoch' must be an integer, got 1.0"),
+        ('{"epoch": true}', "'epoch' must be an integer, got true"),
+        ('{"epoch": 1, "loss_total": "x"}', "'loss_total' must be a number, got \"x\""),
+        ('{"epoch": 1, "loss_cls": false}', "'loss_cls' must be a number, got false"),
+        ('{"epoch": 1, "lr": null}', "'lr' must be a number, got null"),
+        ('{"epoch": 1, "lambda_c": [1.0]}', "'lambda_c' must be a number, got [1.0]"),
+        ('{"epoch": 1, "val_acc": "x", "note": null}', None),
+        ('{"epoch": 1, "loss_total": 2}', None),
+    ], ids=[
+        "no epoch", "text epoch", "float epoch", "bool epoch", "text loss", "bool loss",
+        "null lr", "list lambda_c", "other keys unread", "integer loss",
+    ])
+    def test_epoch_line_checks(self, tmp_path, capsys, line, message):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text(self.GOOD + "\n" + line + "\n")
+        code = main(["report", "--run", str(run_dir)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0, err
+            curves = (run_dir / "curves.csv").read_text().splitlines()
+            # a value the line does not give is an empty cell
+            assert curves[1:] == ["0,1.5,0.1,1.0", "1,2,," if "loss_total" in line else "1,,,"]
+        else:
+            assert code == 1
+            assert err == f"seal: error: {run_dir / 'metrics.jsonl'}: line 2: {message}\n"
+            assert not (run_dir / "curves.csv").exists()
 
     def test_corrupt_line_names_line_number(self, tmp_path, capsys):
         run_dir = tmp_path / "r"
@@ -504,8 +545,8 @@ class TestPathOfTheWrongKind:
 
 class TestMetricsCorruption:
     """Every corrupted metrics.jsonl either reports (exit 0) or is exit 1
-    with a message naming the file, and the line when a line is not
-    JSON; none ends in a traceback."""
+    with a message naming the file, and the line when a line is not an
+    epoch line; none ends in a traceback."""
 
     ENTRIES = [
         {"epoch": e, "lambda_c": 1.0 - e / 3, "loss_cgc": 0.25 / (e + 1), "loss_cls": 2.5 - e,
@@ -525,7 +566,7 @@ class TestMetricsCorruption:
         assert code in (0, 1), (data, err)
         if code == 1:
             assert err.startswith("seal: error: ") and str(path) in err, (data, err)
-            if "invalid JSON" in err or "expected a JSON object" in err:
+            if "not UTF-8" not in err and "no metric entries" not in err:
                 assert f"{path}: line " in err, (data, err)
         return code
 
@@ -561,7 +602,7 @@ class TestMetricsCorruption:
         assert codes == {0, 1}
 
     @pytest.mark.parametrize("line, code", [
-        ("[1, 2]", 1), ('"epoch"', 1), ("3", 1), ("null", 1), ("{}", 0),
+        ("[1, 2]", 1), ('"epoch"', 1), ("3", 1), ("null", 1), ("{}", 1),
     ], ids=["list", "string", "number", "null", "empty object"])
     def test_line_of_another_kind(self, tmp_path, capsys, line, code):
         data = self.FULL + line.encode() + b"\n"
@@ -573,10 +614,11 @@ class TestMetricsCorruption:
         ("val_acc", 0.5),
     ])
     def test_value_of_the_wrong_type_reports(self, tmp_path, capsys, field, value):
+        # the epoch and the curve values are checked; val_acc is not read
         entries = [dict(e) for e in self.ENTRIES]
         entries[1][field] = value
         data = "".join(json.dumps(e) + "\n" for e in entries).encode()
-        assert self.check(tmp_path, capsys, data) == 0
+        assert self.check(tmp_path, capsys, data) == (0 if field == "val_acc" else 1)
 
 
 class TestConfigCorruption:

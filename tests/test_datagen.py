@@ -532,7 +532,7 @@ class TestDatasetInvariants:
         feats = np.zeros((2, 4))
         feats[1, 1] = np.nan
         labels = np.array([[0, 0], [0, 1]])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^row 1: non-finite feature value$"):
             Dataset(feats, labels, spec)
 
     def test_rejects_inconsistent_labels(self):

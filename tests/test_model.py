@@ -22,7 +22,10 @@ from seal.model import (
     renormalize_prototypes,
     save_checkpoint,
     slice_widths,
+    softmax,
 )
+
+from objective_reference import frozen_scores
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
@@ -78,18 +81,9 @@ def fd_gradient(value_fn, state, step=FD_STEP):
     return grad
 
 
-def frozen_head_scores(state, x, level, frozen_slices):
-    """Level-``level`` scores with finer slices held at frozen values
-    (the value semantics of the stop-gradient controller, as a plain
-    function so finite differences see what backprop sees)."""
-    trace = forward(state, x)
-    slices = [
-        trace.z_slices[k] if k < level else frozen_slices[k]
-        for k in range(state.levels)
-    ]
-    z_cat = np.concatenate(slices, axis=1)
-    z_hat = z_cat / np.linalg.norm(z_cat, axis=1, keepdims=True)
-    return z_hat @ state.prototypes[level - 1].T
+def classifier_probs(state, trace):
+    """The classifier's probabilities softmax(scores / tau), per level."""
+    return [softmax(s / state.tau) for s in trace.scores]
 
 
 class TestForward:
@@ -97,7 +91,7 @@ class TestForward:
         state, _ = tiny_state()
         rng = np.random.default_rng(0)
         trace = forward(state, rng.standard_normal((7, 4)))
-        for p in trace.probs:
+        for p in classifier_probs(state, trace):
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self):
@@ -105,7 +99,7 @@ class TestForward:
         x = np.random.default_rng(1).standard_normal((5, 4))
         t1, t2 = forward(state, x), forward(state, x)
         np.testing.assert_array_equal(t1.z_hat, t2.z_hat)
-        for a, b in zip(t1.probs, t2.probs):
+        for a, b in zip(classifier_probs(state, t1), classifier_probs(state, t2)):
             np.testing.assert_array_equal(a, b)
 
     def test_duplicate_rows_identical_outputs(self):
@@ -113,7 +107,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         row = rng.standard_normal(4)
         trace = forward(state, np.stack([row, rng.standard_normal(4), row]))
-        for p in trace.probs:
+        for p in classifier_probs(state, trace):
             np.testing.assert_array_equal(p[0], p[2])
         for z in trace.z_slices:
             np.testing.assert_array_equal(z[0], z[2])
@@ -128,7 +122,7 @@ class TestForward:
         state.prototypes[0][...] = np.eye(2)
         trace = forward(state, np.array([[3.0, 0.0]]))
         expected = np.e / (np.e + 1.0)
-        np.testing.assert_allclose(trace.probs[0][0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(classifier_probs(state, trace)[0][0, 0], expected, atol=1e-12)
 
     def test_trace_keeps_erf_of_each_hidden_layer(self):
         spec = balanced_hierarchy([2, 3, 6])
@@ -228,11 +222,11 @@ class TestTraceReuse:
         )
         trace = forward(state, np.random.default_rng(0).standard_normal((512, 32)))
         names = [f.name for f in dataclasses.fields(trace)]
-        assert "z_raw" not in names and "logits" not in names
+        assert not {"z_raw", "logits", "probs"} & set(names)
         # every array the pass allocates; the caller's batch x is not counted
         owned = [getattr(trace, name) for name in names if name != "x"]
         total = sum(a.nbytes for v in owned for a in (v if isinstance(v, list) else [v]))
-        assert total == 4_276_224
+        assert total == 4_112_384
 
 
 def reference_backward(state, trace, d_scores, d_slices):
@@ -334,7 +328,7 @@ class TestBackward:
             backward(state, base_trace, d_scores=[upstream, None, None])
         )
         fd = fd_gradient(
-            lambda s: float((frozen_head_scores(s, x, 1, frozen) * upstream).sum()), state
+            lambda s: float((frozen_scores(s, x, 1, frozen) * upstream).sum()), state
         )
         np.testing.assert_allclose(analytic, fd, rtol=0, atol=FD_RTOL * max(1.0, np.abs(fd).max()))
 
@@ -353,10 +347,10 @@ class TestBackward:
         assert np.all(grads.prototypes[1] == 0.0)
         assert np.all(grads.prototypes[2] == 0.0)
         frozen = [z.copy() for z in trace.z_slices]
-        base = float((frozen_head_scores(state, x, 1, frozen) * upstream).sum())
+        base = float((frozen_scores(state, x, 1, frozen) * upstream).sum())
         probe = state.copy()
         probe.weights[-1][:, bounds[1] :] += 1e-3  # blocked projection columns
-        moved = float((frozen_head_scores(probe, x, 1, frozen) * upstream).sum())
+        moved = float((frozen_scores(probe, x, 1, frozen) * upstream).sum())
         assert moved == base
 
 

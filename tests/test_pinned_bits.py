@@ -1,5 +1,5 @@
 """The bits of training and inference, pinned: SHA-256 digests of five
-short runs and of one model's predicted scores.
+short runs and of one model's predicted scores and classes.
 
 A change that keeps the numbers must keep these digests. A change that
 moves the bits on purpose updates the pins here and says so in
@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the criterion-8 `seal --deterministic train` metrics.jsonl, then
 # json.dumps({"epochs", "final"}, sort_keys=True) of run_arm(arm, seed=1, epochs=5),
-# then the predict_levels scores of every level, level 1 first, of that seal
-# arm's model on the benchmark's unlabelled rows
+# then the predict_levels scores and the int64 predictions of every level,
+# level 1 first, of that seal arm's model on the benchmark's unlabelled rows
 PINNED = {
     "criterion_8": "a778f0d267a0d792a3731dafc2565d3e06c81f1f104cdaf9f39edc7d176ad38a",
     "seal": "b49aa1a459ae8ad691dc78a67f74fe6b07a2e56ec934855cfea9846cbe0b3965",
@@ -26,11 +26,14 @@ PINNED = {
     "seal_shuffled_hierarchy": "f658fe0019a85377f9aaca3ba45cdd578de91b62a69a6d4d18979adbb3766be8",
     "seal_no_cgc": "bf6a0f05375f5864af7554571a905e441f60a672126781d7b03c3f66eaf02eda",
     "seal_predict_scores": "4f3b85c35adae9a1fecbb7c4b29926bd24128eba212c01d269223a96e0c182de",
+    "seal_predict_preds": "27d159f0cadaecfc4deaf550b5ce90475404f220fe988dc9c65b1abad0c75d07",
 }
 
 SCRIPT = r"""
 import hashlib, json, sys
 from pathlib import Path
+
+import numpy as np
 
 from seal.benchmark import arm_configs, benchmark_dataset
 from seal.cli import main
@@ -64,9 +67,11 @@ for arm in ("seal", "baseline", "seal_shuffled_hierarchy", "seal_no_cgc"):
     blob = json.dumps({"epochs": record.epochs, "final": record.final}, sort_keys=True)
     digests[arm] = hashlib.sha256(blob.encode()).hexdigest()
     if arm == "seal":
-        _, scores = predict_levels(state, ds.features[split.unlabelled])
+        preds, scores = predict_levels(state, ds.features[split.unlabelled])
         scores_blob = b"".join(s.tobytes() for s in scores)
         digests["seal_predict_scores"] = hashlib.sha256(scores_blob).hexdigest()
+        preds_blob = b"".join(p.astype(np.int64).tobytes() for p in preds)
+        digests["seal_predict_preds"] = hashlib.sha256(preds_blob).hexdigest()
 print(json.dumps(digests))
 """
 

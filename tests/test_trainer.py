@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from seal.benchmark import arm_configs, benchmark_dataset
 from seal.datagen import generate_synthetic, make_gcd_split
 from seal.errors import InputError, NumericError
-from seal.hierarchy import HierarchySpec, balanced_hierarchy
+from seal.hierarchy import HierarchySpec, balanced_hierarchy, level_map
 from seal.losses import LossConfig
-from seal.model import forward, init_model
+from seal.model import forward, init_model, softmax
 from seal.trainer import (
     CyclingSampler,
     ModelConfig,
@@ -20,9 +21,19 @@ from seal.trainer import (
     cosine_lr,
     curriculum_lambda,
     make_views,
+    objective,
     predict_levels,
     train,
     validation_split,
+)
+
+from objective_reference import (
+    FD_STEP,
+    GRAD_RTOL,
+    assign,
+    flatten,
+    grads_vector,
+    objective_reference,
 )
 
 
@@ -161,8 +172,10 @@ class TestPredictLevels:
             forward(state, features[start : start + batch_size])
             for start in range(0, features.shape[0], batch_size)
         ]
-        preds = [np.concatenate([np.argmax(t.probs[lvl], axis=1) for t in traces])
-                 for lvl in range(state.levels)]
+        preds = [
+            np.concatenate([np.argmax(softmax(t.scores[lvl] / state.tau), axis=1) for t in traces])
+            for lvl in range(state.levels)
+        ]
         scores = [np.concatenate([t.scores[lvl] for t in traces]) for lvl in range(state.levels)]
         return preds, scores
 
@@ -515,3 +528,61 @@ class TestBaselineEquivalence:
         for a, b in zip(state.weights, oracle.ws):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(state.prototypes[0], oracle.protos, rtol=1e-9, atol=1e-12)
+
+
+class TestAppliedGradientAtArmSize:
+    """The gradient ``objective`` returns, at the real size of the
+    benchmark arms after two epochs of training, against central
+    differences of the term-by-term reference along random directions."""
+
+    @staticmethod
+    def direction(state, rng):
+        """A random direction in parameter space whose prototype rows are
+        tangent to the unit sphere, so a step keeps them unit-norm to
+        O(step^2)."""
+        d = state.copy()
+        for t in d.weights + d.biases + d.prototypes:
+            t[...] = rng.standard_normal(t.shape)
+        for dp, p in zip(d.prototypes, state.prototypes):
+            dp -= (dp * p).sum(axis=1, keepdims=True) * p
+        return flatten(d)
+
+    @pytest.mark.parametrize("arm", ["seal", "baseline", "seal_no_cgc"])
+    def test_directional_derivatives_match_central_differences(self, arm, monkeypatch):
+        _, ds, split = benchmark_dataset()
+        spec, tc, lc, mc = arm_configs(arm, seed=1, epochs=2)
+        refreshes = spy_refreshes(monkeypatch)
+        state, _ = train(ds, split, spec, 1, tc, lc, mc)
+        transitions = refreshes[-1] if refreshes else []
+        assert len(refreshes) == (2 if tc.use_cgc else 0)
+
+        # one batch as train composes it: half labelled, half unlabelled
+        rng = np.random.default_rng(4)
+        half = tc.batch_size // 2
+        idx = np.concatenate([
+            rng.choice(split.labelled, half, replace=False),
+            rng.choice(split.unlabelled, half, replace=False),
+        ])
+        mask = np.arange(idx.size) < half
+        fine = np.maximum(ds.fine_labels(), 0)
+        label_cols = [level_map(spec, h)[fine][idx] for h in range(1, spec.levels + 1)]
+        xa, xb = make_views(ds.features[idx], tc.view_noise, rng)
+        args = (xa, xb, mask, label_cols, transitions, lc, 0.5)
+
+        components, grads = objective(state, *args)
+        value = objective_reference(state, *args)
+        total = components["loss_total"]
+        assert abs(value(state) - total) <= 1e-12 * abs(total)
+
+        theta, g, work = flatten(state), grads_vector(grads), state.copy()
+        analytic, fd = [], []
+        for _ in range(3):
+            d = self.direction(state, rng)
+            assign(work, theta + FD_STEP * d)
+            hi = value(work)
+            assign(work, theta - FD_STEP * d)
+            lo = value(work)
+            analytic.append(g @ d)
+            fd.append((hi - lo) / (2 * FD_STEP))
+        analytic, fd = np.array(analytic), np.array(fd)
+        assert np.linalg.norm(analytic - fd) < GRAD_RTOL * np.linalg.norm(fd), (analytic, fd)
