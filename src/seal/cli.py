@@ -301,6 +301,11 @@ def build_run(doc: dict, seed_override=None):
     train_cfg = TrainConfig(**doc.get("train", {}), seed=seed)
     loss_cfg = LossConfig(**doc.get("loss", {}))
     model_cfg = ModelConfig(**doc.get("model", {}))
+    if model_cfg.proj_dim is not None and model_cfg.proj_dim < spec.levels:
+        raise InputError(
+            f"model.proj_dim must be at least the level count {spec.levels}, "
+            f"got {model_cfg.proj_dim}"
+        )
     return dataset, split, spec, train_cfg, loss_cfg, model_cfg, seed
 
 
@@ -331,14 +336,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _labels_by_id(path, levels):
-    """A label CSV's ids and label rows, sorted by id; a repeated id is an
-    input error naming the file and the id."""
+def _labels_by_id(path, spec):
+    """A label CSV's ids and label rows, sorted by id. A label outside
+    [0, count) of its level is a format error naming the file, the first
+    such row in file order and its column; a repeated id is an input
+    error naming the file and the id."""
     import numpy as np
 
     from .datagen import load_labels
 
-    ids, labels = load_labels(path, levels)
+    ids, labels = load_labels(path, spec.levels)
+    bad = (labels < 0) | (labels >= np.asarray(spec.counts))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        value, where = labels[row, col], f"{path}: row {row}: level_{col + 1} label"
+        if value == -1:
+            raise DataFormatError(f"{where} is -1 (unknown); cannot score")
+        raise DataFormatError(f"{where} {value} outside [0, {spec.counts[col]})")
     order = np.argsort(ids)
     ids = ids[order]
     repeats = np.flatnonzero(ids[1:] == ids[:-1])
@@ -355,12 +369,10 @@ def _cmd_eval(args) -> int:
 
     spec, known = load_hierarchy(args.hierarchy)
     # ids are text: a prediction matches the truth row whose id string it repeats
-    pred_ids, pred = _labels_by_id(args.pred, spec.levels)
-    true_ids, truth = _labels_by_id(args.truth, spec.levels)
+    pred_ids, pred = _labels_by_id(args.pred, spec)
+    true_ids, truth = _labels_by_id(args.truth, spec)
     if not np.array_equal(pred_ids, true_ids):
         raise InputError("prediction and truth files cover different sample ids")
-    if np.any(truth < 0):
-        raise InputError("truth file has unknown (-1) labels; cannot score")
     reports = evaluate_predictions(
         truth, pred, spec, known, reassign_subsets=args.reassign_subsets
     )
@@ -385,6 +397,11 @@ def _dump_projection(args) -> None:
     state, _ = load_checkpoint(args.checkpoint)
     spec, dataset = load_embeddings(args.features, args.hierarchy)
     ids, _ = load_labels(args.features, spec.levels)
+    if dataset.dim != state.in_dim:
+        raise InputError(
+            f"{args.features} has {dataset.dim} feature columns, the checkpoint "
+            f"{args.checkpoint} takes {state.in_dim}"
+        )
     trace = forward(state, dataset.features)
     z = trace.z_hat - trace.z_hat.mean(axis=0)
     _, _, vt = np.linalg.svd(z, full_matrices=False)

@@ -30,7 +30,6 @@ from .hierarchy import HierarchySpec
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-PROTO_NORM_TOL = 1e-9
 
 
 def gelu(x: np.ndarray, erf_x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -45,6 +44,12 @@ def gelu_grad(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
     """Derivative of gelu at x, given erf_x = erf(x / sqrt(2)) from the
     forward pass."""
     return 0.5 * (1.0 + erf_x) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+
+
+def parameters(params: ModelState | ParamGrads) -> list[np.ndarray]:
+    """The parameter tensors of a model, or their gradients, in the one
+    order every walk over them uses: weight matrices, biases, prototypes."""
+    return [*params.weights, *params.biases, *params.prototypes]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -83,8 +88,7 @@ class ModelState:
         return self.weights[0].shape[0]
 
     def num_params(self) -> int:
-        tensors = self.weights + self.biases + self.prototypes
-        return int(sum(t.size for t in tensors))
+        return int(sum(t.size for t in parameters(self)))
 
     def copy(self) -> "ModelState":
         return ModelState(
@@ -125,13 +129,15 @@ def init_model(
         raise InputError("temperatures must be positive")
     if proj_dim is None:
         proj_dim = 64 * spec.levels
+    # checked before any weight is drawn
+    widths = slice_widths(proj_dim, spec.levels)
     rng = np.random.default_rng(seed)
     dims = [in_dim] + list(hidden) + [proj_dim]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
         weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
         biases.append(np.zeros(fan_out))
-    bounds = np.concatenate([[0], np.cumsum(slice_widths(proj_dim, spec.levels))])
+    bounds = np.concatenate([[0], np.cumsum(widths)])
     prototypes = []
     for n_h in spec.counts:
         protos = rng.standard_normal((n_h, proj_dim))
@@ -307,11 +313,7 @@ class ParamGrads:
         )
 
     def add_(self, other: "ParamGrads") -> "ParamGrads":
-        for mine, theirs in zip(self.weights, other.weights):
-            mine += theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine += theirs
-        for mine, theirs in zip(self.prototypes, other.prototypes):
+        for mine, theirs in zip(parameters(self), parameters(other)):
             mine += theirs
         return self
 
@@ -334,18 +336,21 @@ def backward(
     scores (pre-temperature); d_slices[h-1] is w.r.t. the normalized
     level-h slice (representation losses attach here and bypass the
     per-head gradient block). Either list may be None or contain Nones.
+    A level without a score gradient gets a zero prototype gradient; no
+    gradient is formed for the input.
     """
     levels = state.levels
     d_scores = d_scores if d_scores is not None else [None] * levels
     d_slices = d_slices if d_slices is not None else [None] * levels
     if len(d_scores) != levels or len(d_slices) != levels:
         raise InputError(f"expected {levels} upstream entries per list")
-    grads = ParamGrads.zeros_like(state)
     bounds = state.slice_bounds
 
+    d_protos = []
     d_cat_total = np.zeros_like(trace.z_hat)
     for lvl, d_sc in enumerate(d_scores):
         if d_sc is None:
+            d_protos.append(np.zeros_like(state.prototypes[lvl]))
             continue
         d_sc = np.asarray(d_sc, dtype=np.float64)
         if d_sc.shape != trace.scores[lvl].shape:
@@ -353,7 +358,7 @@ def backward(
                 f"level {lvl + 1} score gradient shape {d_sc.shape} does not match "
                 f"{trace.scores[lvl].shape}"
             )
-        grads.prototypes[lvl] += d_sc.T @ trace.z_hat
+        d_protos.append(d_sc.T @ trace.z_hat)
         d_hat = d_sc @ state.prototypes[lvl]
         # backward through the aggregate's normalization; the radial term
         # reads the full width, but the gradient controller lets this head
@@ -380,19 +385,19 @@ def backward(
             d_z, trace.z_slices[lvl], trace.slice_norms[lvl]
         )
 
-    # projection layer
-    h_last = trace.activations[-1] if trace.activations else trace.x
-    grads.weights[-1] += h_last.T @ d_raw
-    grads.biases[-1] += d_raw.sum(axis=0)
-    d_h = d_raw @ state.weights[-1].T
-    # hidden layers, last to first
-    for layer in range(len(state.weights) - 2, -1, -1):
-        d_a = d_h * gelu_grad(trace.pre_activations[layer], trace.erfs[layer])
+    # projection layer, then hidden layers, last to first; d_a is the
+    # gradient of the layer's pre-activation
+    n_layers = len(state.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    d_a = d_raw
+    for layer in range(n_layers - 1, -1, -1):
         h_prev = trace.activations[layer - 1] if layer > 0 else trace.x
-        grads.weights[layer] += h_prev.T @ d_a
-        grads.biases[layer] += d_a.sum(axis=0)
-        d_h = d_a @ state.weights[layer].T
-    return grads
+        d_weights[layer] = h_prev.T @ d_a
+        d_biases[layer] = d_a.sum(axis=0)
+        if layer > 0:
+            d_h = d_a @ state.weights[layer].T
+            d_a = d_h * gelu_grad(trace.pre_activations[layer - 1], trace.erfs[layer - 1])
+    return ParamGrads(weights=d_weights, biases=d_biases, prototypes=d_protos)
 
 
 def renormalize_prototypes(state: ModelState) -> None:

@@ -30,6 +30,7 @@ from .model import (
     backward,
     forward,
     init_model,
+    parameters,
     renormalize_prototypes,
     softmax,
 )
@@ -69,6 +70,12 @@ class TrainConfig:
             )
         if not 0 <= self.val_fraction < 1:
             raise InputError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if not 0 <= self.momentum < 1:
+            raise InputError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise InputError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not self.view_noise >= 0:
+            raise InputError(f"view_noise must be non-negative, got {self.view_noise}")
 
 
 @dataclass
@@ -412,19 +419,13 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
 
 
 def sgd_step(state, grads, velocity, lr, momentum, weight_decay):
-    """Momentum SGD; weight decay applies to weight matrices only, and
-    prototype rows are renormalized afterwards."""
-    for w, g, v in zip(state.weights, grads.weights, velocity.weights):
+    """Momentum SGD over ``parameters``; weight decay applies to the weight
+    matrices only, which come first, and prototype rows are renormalized
+    afterwards."""
+    n_weights = len(state.weights)
+    for i, (p, g, v) in enumerate(zip(parameters(state), parameters(grads), parameters(velocity))):
         v *= momentum
-        v += g + weight_decay * w
-        w -= lr * v
-    for b, g, v in zip(state.biases, grads.biases, velocity.biases):
-        v *= momentum
-        v += g
-        b -= lr * v
-    for p, g, v in zip(state.prototypes, grads.prototypes, velocity.prototypes):
-        v *= momentum
-        v += g
+        v += (g + weight_decay * p) if i < n_weights else g
         p -= lr * v
     renormalize_prototypes(state)
 

@@ -214,6 +214,23 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
         assert f"seal: error: {cfg}: epochs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("model.proj_dim", -3, "model.proj_dim must be at least the level count 2, got -3"),
+        ("model.proj_dim", 0, "model.proj_dim must be at least the level count 2, got 0"),
+        ("model.proj_dim", 1, "model.proj_dim must be at least the level count 2, got 1"),
+        ("train.view_noise", -0.1, "view_noise must be non-negative, got -0.1"),
+        ("train.momentum", -2.0, "momentum must be in [0, 1), got -2.0"),
+        ("train.momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+        ("train.weight_decay", -1.0, "weight_decay must be non-negative, got -1.0"),
+    ], ids=["proj_dim -3", "proj_dim 0", "proj_dim 1", "view_noise -0.1", "momentum -2",
+            "momentum 1", "weight_decay -1"])
+    def test_value_the_run_cannot_use_names_the_config(self, tmp_path, capsys, field, value,
+                                                       message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(set_field(TINY_CONFIG, field, value)))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert f"seal: error: {cfg}: {message}" in capsys.readouterr().err
+
     @BEYOND_THE_PARSER
     def test_config_beyond_the_parser_names_file(self, tmp_path, capsys, text, reason):
         cfg = tmp_path / "config.json"
@@ -332,6 +349,35 @@ class TestEvalCommand:
         assert code == 1
         assert "latin1.csv: row 1 is not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, named, message", [
+        ({("pred", 3, 2): "99"}, "pred", "row 3: level_2 label 99 outside [0, 4)"),
+        ({("pred", 3, 1): "-1"}, "pred", "row 3: level_1 label is -1 (unknown); cannot score"),
+        ({("pred", 3, 1): "2"}, "pred", "row 3: level_1 label 2 outside [0, 2)"),
+        ({("truth", 3, 1): "7"}, "truth", "row 3: level_1 label 7 outside [0, 2)"),
+        ({("truth", 3, 2): "-1"}, "truth", "row 3: level_2 label is -1 (unknown); cannot score"),
+        ({("truth", 3, 2): "-2"}, "truth", "row 3: level_2 label -2 outside [0, 4)"),
+        # the first bad row in file order, not in id order ("12" sorts before "2")
+        ({("pred", 12, 1): "5", ("pred", 2, 2): "4"}, "pred",
+         "row 2: level_2 label 4 outside [0, 4)"),
+    ], ids=["pred 99", "pred -1", "pred level_1 2", "truth 7", "truth -1", "truth -2",
+            "file order"])
+    def test_label_out_of_range_names_file_row_and_column(self, tmp_path, capsys, edits, named,
+                                                          message):
+        self._write_files(tmp_path)
+        files = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
+        for (which, row, column), value in edits.items():
+            lines = files[which].read_text().splitlines()
+            cells = lines[row + 1].split(",")
+            cells[column] = value
+            lines[row + 1] = ",".join(cells)
+            files[which].write_text("\n".join(lines) + "\n")
+        code = main([
+            "eval", "--pred", str(files["pred"]), "--truth", str(files["truth"]),
+            "--hierarchy", str(tmp_path / "h.json"),
+        ])
+        assert code == 1
+        assert f"seal: error: {files[named]}: {message}" in capsys.readouterr().err
+
     def test_projection_dump(self, tmp_path, capsys):
         self._write_files(tmp_path)
         cfg = write_config(tmp_path)
@@ -371,6 +417,29 @@ class TestEvalCommand:
         assert all(len(c) == 3 for c in cells)
         coords = np.array([[float(c[1]), float(c[2])] for c in cells])
         assert np.all(np.isfinite(coords)) and np.ptp(coords, axis=0).min() > 0
+
+    def test_projection_dump_of_another_width_names_both_files(self, tmp_path, capsys):
+        # the checkpoint takes 8 inputs, the features file has 4 columns
+        from seal.datagen import generate_synthetic, save_features_csv
+        from seal.hierarchy import balanced_hierarchy, save_hierarchy
+
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        spec = balanced_hierarchy([2, 6])
+        ds = generate_synthetic(spec, per_class=2, dim=4, spreads=[6, 2, 0.4], seed=1)
+        save_hierarchy(tmp_path / "h.json", spec)
+        save_features_csv(tmp_path / "feats.csv", ds)
+        code = main([
+            "eval", "--pred", str(tmp_path / "feats.csv"), "--truth", str(tmp_path / "feats.csv"),
+            "--hierarchy", str(tmp_path / "h.json"),
+            "--dump-projection", str(tmp_path / "proj.csv"),
+            "--features", str(tmp_path / "feats.csv"), "--checkpoint", str(out / "model.seal"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"seal: error: {tmp_path / 'feats.csv'} has 4 feature columns, the checkpoint "
+                f"{out / 'model.seal'} takes 8") in err
+        assert not (tmp_path / "proj.csv").exists()
 
 
 class TestVerifyTheory:

@@ -140,6 +140,11 @@ class TestForward:
         with pytest.raises(InputError):
             slice_widths(2, 3)
 
+    @pytest.mark.parametrize("proj_dim", [-3, 0, 2])
+    def test_projection_narrower_than_the_levels_is_an_input_error(self, proj_dim):
+        with pytest.raises(InputError, match=f"projection dim {proj_dim} smaller than level"):
+            init_model(balanced_hierarchy([2, 3, 6]), in_dim=4, proj_dim=proj_dim)
+
     def test_overflow_raises_numeric_error(self):
         state, _ = tiny_state()
         x = np.full((2, 4), 1e308)
@@ -280,6 +285,21 @@ class TestBackward:
         for mine, ref in zip(grads.weights + grads.biases + grads.prototypes,
                              weights + biases + protos):
             assert np.array_equal(mine, ref)
+
+    def test_without_hidden_layers_matches_fd(self):
+        # the projection is the only layer, so it reads the input itself
+        spec = balanced_hierarchy([2, 3, 6])
+        state = init_model(spec, in_dim=4, hidden=(), proj_dim=6, seed=2)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 4))
+        trace = forward(state, x)
+        d_scores = [rng.standard_normal(s.shape) for s in trace.scores]
+        grads = backward(state, trace, d_scores=[None, None, d_scores[2]])
+        assert [w.shape for w in grads.weights] == [(4, 6)]
+        fd = fd_gradient(lambda s: float((forward(s, x).scores[2] * d_scores[2]).sum()), state)
+        np.testing.assert_allclose(
+            flatten_grads(grads), fd, rtol=0, atol=FD_RTOL * max(1.0, np.abs(fd).max())
+        )
 
     def test_zero_upstream_gives_zero_grads(self):
         state, _ = tiny_state()

@@ -13,7 +13,7 @@ from seal.datagen import generate_synthetic, make_gcd_split
 from seal.errors import InputError, NumericError
 from seal.hierarchy import HierarchySpec, balanced_hierarchy, level_map
 from seal.losses import LossConfig
-from seal.model import forward, init_model, softmax
+from seal.model import ParamGrads, forward, init_model, softmax
 from seal.trainer import (
     CyclingSampler,
     ModelConfig,
@@ -23,6 +23,7 @@ from seal.trainer import (
     make_views,
     objective,
     predict_levels,
+    sgd_step,
     train,
     validation_split,
 )
@@ -202,6 +203,38 @@ class TestPredictLevels:
     def test_no_rows_rejected(self):
         with pytest.raises(InputError, match="no rows"):
             predict_levels(self.state(), np.zeros((0, 8)))
+
+
+class TestSgdStep:
+    def test_matches_the_step_written_out_per_group(self):
+        # momentum on every tensor, weight decay on the weight matrices
+        # only, then unit prototype rows; three steps, bit for bit
+        spec = balanced_hierarchy([2, 6])
+        state = init_model(spec, in_dim=5, hidden=(4, 3), proj_dim=6, seed=1)
+        ref = state.copy()
+        velocity, ref_vel = ParamGrads.zeros_like(state), ParamGrads.zeros_like(state)
+        rng = np.random.default_rng(2)
+        lr, momentum, decay = 0.05, 0.9, 0.01
+        for _ in range(3):
+            grads = ParamGrads(
+                weights=[rng.standard_normal(w.shape) for w in state.weights],
+                biases=[rng.standard_normal(b.shape) for b in state.biases],
+                prototypes=[rng.standard_normal(p.shape) for p in state.prototypes],
+            )
+            sgd_step(state, grads, velocity, lr, momentum, decay)
+            for w, g, v in zip(ref.weights, grads.weights, ref_vel.weights):
+                v[...] = momentum * v + (g + decay * w)
+                w -= lr * v
+            for t, g, v in zip(ref.biases + ref.prototypes, grads.biases + grads.prototypes,
+                               ref_vel.biases + ref_vel.prototypes):
+                v[...] = momentum * v + g
+                t -= lr * v
+            for p in ref.prototypes:
+                p /= np.linalg.norm(p, axis=1, keepdims=True)
+        for mine, theirs in zip(state.weights + state.biases + state.prototypes,
+                                ref.weights + ref.biases + ref.prototypes):
+            assert np.array_equal(mine, theirs)
+        assert state.num_params() == sum(t.size for t in ref.weights + ref.biases + ref.prototypes)
 
 
 class TestTrainLoop:
