@@ -54,7 +54,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--pred", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--hierarchy", required=True)
-    ev.add_argument("--reassign-subsets", action="store_true")
     ev.add_argument("--dump-projection", default=None,
                     help="write 2-D projection data to this CSV (needs --features and --checkpoint)")
     ev.add_argument("--features", default=None)
@@ -373,9 +372,7 @@ def _cmd_eval(args) -> int:
     true_ids, truth = _labels_by_id(args.truth, spec)
     if not np.array_equal(pred_ids, true_ids):
         raise InputError("prediction and truth files cover different sample ids")
-    reports = evaluate_predictions(
-        truth, pred, spec, known, reassign_subsets=args.reassign_subsets
-    )
+    reports = evaluate_predictions(truth, pred, spec, known)
     doc = {str(h): r.as_dict() for h, r in reports.items()}
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.dump_projection:

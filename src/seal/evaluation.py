@@ -94,13 +94,12 @@ def consistency_rate(pred_fine, pred_levels, spec: HierarchySpec) -> dict[int, f
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All/Old/New accuracy (None where the subset is empty), the
-    cluster-to-class assignment, and fine-coarse consistency rates."""
+    """All/Old/New accuracy (None where the subset is empty) and
+    fine-coarse consistency rates."""
 
     acc_all: float
     acc_old: float | None
     acc_new: float | None
-    assignment: dict[int, int] = field(compare=False)
     consistency: dict[int, float] = field(default_factory=dict, compare=False)
 
     def as_dict(self) -> dict:
@@ -117,14 +116,12 @@ def evaluate_predictions(
     pred_labels: np.ndarray,
     spec: HierarchySpec,
     old_fine_classes,
-    reassign_subsets: bool = False,
 ) -> dict[int, EvalReport]:
     """Full per-level evaluation of an (N, H) prediction matrix against
     an (N, H) truth matrix.
 
     Old classes at coarse levels are the ancestors of the old fine
-    classes. reassign_subsets re-solves the matching inside each subset
-    (diagnostics only; the headline numbers share one assignment).
+    classes; Old and New share the level's one assignment.
     """
     true_labels = np.asarray(true_labels, dtype=np.int64)
     pred_labels = np.asarray(pred_labels, dtype=np.int64)
@@ -137,17 +134,10 @@ def evaluate_predictions(
     old_fine = sorted(int(c) for c in old_fine_classes)
     reports: dict[int, EvalReport] = {}
     for h in range(1, spec.levels + 1):
-        n_h = spec.counts[h - 1]
-        acc, assignment = hungarian_acc(true_labels[:, h - 1], pred_labels[:, h - 1], n_h)
+        truth_h, pred_h = true_labels[:, h - 1], pred_labels[:, h - 1]
+        acc, assignment = hungarian_acc(truth_h, pred_h, spec.counts[h - 1])
         old_h = set(level_map(spec, h)[old_fine]) if old_fine else set()
-        if reassign_subsets:
-            acc_old, acc_new = _reassigned_split(
-                true_labels[:, h - 1], pred_labels[:, h - 1], old_h, n_h
-            )
-        else:
-            acc_old, acc_new = split_acc(
-                true_labels[:, h - 1], pred_labels[:, h - 1], old_h, assignment
-            )
+        acc_old, acc_new = split_acc(truth_h, pred_h, old_h, assignment)
         consistency = (
             consistency_rate(
                 pred_labels[:, -1], [pred_labels[:, k] for k in range(spec.levels - 1)], spec
@@ -155,24 +145,6 @@ def evaluate_predictions(
             if h == spec.levels
             else {}
         )
-        reports[h] = EvalReport(
-            acc_all=acc,
-            acc_old=acc_old,
-            acc_new=acc_new,
-            assignment=assignment,
-            consistency=consistency,
-        )
+        reports[h] = EvalReport(acc, acc_old, acc_new, consistency)
     return reports
 
-
-def _reassigned_split(y_true, y_pred, old_classes, num_classes):
-    """Diagnostic variant: solve a fresh assignment inside each subset."""
-    old_mask = np.isin(y_true, sorted(old_classes))
-    out = []
-    for mask in (old_mask, ~old_mask):
-        if mask.any():
-            acc, _ = hungarian_acc(y_true[mask], y_pred[mask], num_classes)
-            out.append(acc)
-        else:
-            out.append(None)
-    return tuple(out)

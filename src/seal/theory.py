@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
-from .errors import InputError, NumericError
+from .errors import InputError
 
 MASS_TOL = 1e-12
 MAX_CELLS = 4 ** 5
@@ -69,47 +70,28 @@ class DiscreteJoint:
         return np.transpose(out, perm)
 
 
-def _xlogy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p * log(q) with the 0 * log(0) = 0 convention; p > 0 with q = 0
-    means the joint is inconsistent and raises."""
-    bad = (p > 0) & (q <= 0)
-    if np.any(bad):
-        raise NumericError("positive probability with zero reference mass")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p > 0, p * np.log(np.where(q > 0, q, 1.0)), 0.0)
-
-
 def entropy(joint: DiscreteJoint, axes) -> float:
     """H of the marginal over the named axes (nats)."""
     p = joint.marginal(axes).ravel()
-    return float(-_xlogy(p, p).sum())
+    return float(-xlogy(p, p).sum())
 
 
 def mutual_information(joint: DiscreteJoint, a_axes, b_axes) -> float:
-    """I(A;B) = sum p(a,b) log[p(a,b) / (p(a)p(b))] over the named axes."""
-    a_axes, b_axes = tuple(a_axes), tuple(b_axes)
-    if set(a_axes) & set(b_axes):
-        raise InputError(f"axis sets overlap: {a_axes} vs {b_axes}")
-    p_ab = joint.marginal(a_axes + b_axes)
-    na = int(np.prod([p_ab.shape[i] for i in range(len(a_axes))], initial=1))
-    p_ab = p_ab.reshape(na, -1)
-    p_a = p_ab.sum(axis=1, keepdims=True)
-    p_b = p_ab.sum(axis=0, keepdims=True)
-    value = _xlogy(p_ab, p_ab).sum() - _xlogy(p_ab, p_a * p_b).sum()
-    return float(value)
+    """I(A;B): conditional_mi with nothing to condition on."""
+    return conditional_mi(joint, a_axes, b_axes, ())
 
 
 def conditional_mi(joint: DiscreteJoint, a_axes, b_axes, c_axes) -> float:
     """I(A;B | C) = sum p(a,b,c) log[p(a,b,c) p(c) / (p(a,c) p(b,c))].
 
-    An empty conditioning set reduces to mutual_information.
+    With C empty, p(c) is the mass of the whole table. Every reference
+    mass sums cells that include p(a,b,c), so it is positive wherever
+    p(a,b,c) is.
     """
     a_axes, b_axes, c_axes = tuple(a_axes), tuple(b_axes), tuple(c_axes)
     groups = [set(a_axes), set(b_axes), set(c_axes)]
     if groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2]:
         raise InputError("axis sets A, B, C must be pairwise disjoint")
-    if not c_axes:
-        return mutual_information(joint, a_axes, b_axes)
     p = joint.marginal(a_axes + b_axes + c_axes)
     na = int(np.prod(p.shape[: len(a_axes)], initial=1))
     nb = int(np.prod(p.shape[len(a_axes) : len(a_axes) + len(b_axes)], initial=1))
@@ -117,12 +99,7 @@ def conditional_mi(joint: DiscreteJoint, a_axes, b_axes, c_axes) -> float:
     p_ac = p.sum(axis=1, keepdims=True)
     p_bc = p.sum(axis=0, keepdims=True)
     p_c = p.sum(axis=(0, 1), keepdims=True)
-    value = (
-        _xlogy(p, p).sum()
-        + _xlogy(p, np.broadcast_to(p_c, p.shape)).sum()
-        - _xlogy(p, np.broadcast_to(p_ac, p.shape)).sum()
-        - _xlogy(p, np.broadcast_to(p_bc, p.shape)).sum()
-    )
+    value = xlogy(p, p).sum() + xlogy(p, p_c).sum() - xlogy(p, p_ac).sum() - xlogy(p, p_bc).sum()
     return float(value)
 
 

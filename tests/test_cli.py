@@ -273,6 +273,18 @@ class TestEvalCommand:
         assert doc["2"]["old"] == 1.0
         assert doc["2"]["consistency"]["1"] == 1.0
 
+    def test_reassign_subsets_is_a_usage_error(self, tmp_path, capsys):
+        self._write_files(tmp_path)
+        code = main([
+            "eval", "--pred", str(tmp_path / "pred.csv"),
+            "--truth", str(tmp_path / "truth.csv"),
+            "--hierarchy", str(tmp_path / "h.json"), "--reassign-subsets",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "--reassign-subsets" in captured.err
+        assert captured.out == ""
+
     def test_id_mismatch_rejected(self, tmp_path, capsys):
         self._write_files(tmp_path)
         (tmp_path / "pred2.csv").write_text("id,level_1,level_2\n99,0,0\n")

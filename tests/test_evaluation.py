@@ -169,12 +169,12 @@ class TestEvaluatePredictions:
         assert reports[1].consistency == {}
 
     def test_reassign_subsets_flag(self):
+        # Old and New are read under All's one assignment; there is no
+        # per-subset re-matching to ask for
         spec = balanced_hierarchy([4])
         y_true = np.array([[0], [0], [1], [1], [2], [2], [3], [3]])
         y_pred = np.array([[1], [1], [0], [0], [2], [2], [3], [2]])
         shared = evaluate_predictions(y_true, y_pred, spec, old_fine_classes={0, 1})
-        re = evaluate_predictions(
-            y_true, y_pred, spec, old_fine_classes={0, 1}, reassign_subsets=True
-        )
-        assert shared[1].acc_old == 1.0 and re[1].acc_old == 1.0
-        assert re[1].acc_new >= shared[1].acc_new
+        assert (shared[1].acc_all, shared[1].acc_old, shared[1].acc_new) == (0.875, 1.0, 0.75)
+        with pytest.raises(TypeError, match="reassign_subsets"):
+            evaluate_predictions(y_true, y_pred, spec, {0, 1}, reassign_subsets=True)
