@@ -120,12 +120,18 @@ def _parse_int_list(text: str) -> list[int]:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InputError(f"--seed must be at least 0, got {seed}")
+
+
 def _cmd_generate(args) -> int:
     import numpy as np
 
     from .datagen import generate_synthetic, make_gcd_split, save_features_csv
     from .hierarchy import balanced_hierarchy, save_hierarchy
 
+    _check_seed(args.seed)
     counts = _parse_int_list(args.counts)
     spreads = None
     if args.spreads is not None:
@@ -265,8 +271,8 @@ def load_run(path, seed_override=None):
     checks but not the code it configures is an InputError naming the
     config file too."""
     doc = load_run_config(path)
-    if seed_override is not None and seed_override < 0:
-        raise InputError(f"--seed must be at least 0, got {seed_override}")
+    if seed_override is not None:
+        _check_seed(seed_override)
     try:
         return build_run(doc, seed_override)
     except InputError as exc:
@@ -328,10 +334,9 @@ def _cmd_train(args) -> int:
     }
     (out / "final.json").write_text(json.dumps(final_doc, indent=2, sort_keys=True) + "\n")
     save_checkpoint(out / "model.seal", state, meta={"seed": seed})
-    print(
-        f"trained {train_cfg.epochs} epochs; unlabelled ACC all={record.final['all']:.4f} "
-        f"-> {out}"
-    )
+    final = record.final
+    outcome = f"unlabelled ACC all={final['all']:.4f}" if "all" in final else final["note"]
+    print(f"trained {train_cfg.epochs} epochs; {outcome} -> {out}")
     return 0
 
 
@@ -373,10 +378,11 @@ def _cmd_eval(args) -> int:
     if not np.array_equal(pred_ids, true_ids):
         raise InputError("prediction and truth files cover different sample ids")
     reports = evaluate_predictions(truth, pred, spec, known)
-    doc = {str(h): r.as_dict() for h, r in reports.items()}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    # the projection's own errors come before any score is printed
     if args.dump_projection:
         _dump_projection(args)
+    doc = {str(h): r.as_dict() for h, r in reports.items()}
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
@@ -414,6 +420,7 @@ def _cmd_verify_theory(args) -> int:
 
     if args.trials < 1:
         raise InputError(f"--trials must be positive, got {args.trials}")
+    _check_seed(args.seed)
     results = run_verification(trials=args.trials, seed=args.seed)
     width = max(len(r["check"]) for r in results)
     all_pass = True

@@ -65,6 +65,10 @@ class LossConfig:
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise InputError(f"{name} must be in [0, 1], got {v}")
+        if self.curriculum_horizon is not None and self.curriculum_horizon < 0:
+            raise InputError(
+                f"curriculum_horizon must be at least 0, got {self.curriculum_horizon}"
+            )
         if not 0 <= self.transition_momentum <= 1:
             raise InputError("transition_momentum must be in [0, 1]")
         if self.entropy_weight < 0:

@@ -46,6 +46,8 @@ class DiscreteJoint:
             raise InputError(f"duplicate axis names in {self.axes}")
         if table.size > MAX_CELLS:
             raise InputError(f"table with {table.size} cells exceeds the {MAX_CELLS} cap")
+        if not np.isfinite(table).all():
+            raise InputError("probability table has non-finite entries")
         if np.any(table < 0):
             raise InputError("probability table has negative entries")
         mass = table.sum()
@@ -228,14 +230,15 @@ def run_verification(trials: int = 1000, seed: int = 0) -> list[dict]:
         {"check": "chain-rule residual", "passed": worst < MASS_TOL, "worst": worst}
     )
 
+    # a bound row's worst is its largest violation, 0.0 when there is none
     worst = 0.0
     ok = True
     for _ in range(trials):
         j = random_joint(("Z", "Y1", "Y2"), (3, 2, 3), rng)
         res = check_supervised_bound(j)
         ok &= res.holds
-        worst = min(worst, res.lhs - res.rhs)
-    results.append({"check": "supervised bound", "passed": ok, "worst": -worst})
+        worst = max(worst, res.rhs - res.lhs)
+    results.append({"check": "supervised bound", "passed": ok, "worst": worst})
 
     worst = 0.0
     ok = True
@@ -243,8 +246,8 @@ def run_verification(trials: int = 1000, seed: int = 0) -> list[dict]:
         j = random_joint(("X", "Y1", "Y2"), (3, 2, 3), rng)
         res = check_unsupervised_bound(j)
         ok &= res.holds
-        worst = min(worst, res.rhs - res.lhs)
-    results.append({"check": "unsupervised bound", "passed": ok, "worst": -worst})
+        worst = max(worst, res.lhs - res.rhs)
+    results.append({"check": "unsupervised bound", "passed": ok, "worst": worst})
 
     worst = 0.0
     for _ in range(trials):
@@ -264,9 +267,9 @@ def run_verification(trials: int = 1000, seed: int = 0) -> list[dict]:
         unsup = random_joint(("X", "Y1", "Y2"), (2, 2, 2), rng)
         res = check_combined_bound(sup, unsup, beta=float(rng.uniform(0.1, 2.0)))
         ok &= res.holds
-        worst = min(worst, res.gap)
+        worst = max(worst, -res.gap)
         strict_seen |= res.gap > 1e-6
     results.append(
-        {"check": "combined objective bound", "passed": ok and strict_seen, "worst": -worst}
+        {"check": "combined objective bound", "passed": ok and strict_seen, "worst": worst}
     )
     return results

@@ -182,8 +182,9 @@ def validation_split(labelled: np.ndarray, val_fraction: float, seed: int):
 
 
 def _level_labels(spec: HierarchySpec, fine_labels: np.ndarray) -> list[np.ndarray]:
-    """Per-level labels projected from fine labels via the training
-    hierarchy (so a deliberately wrong hierarchy supervises wrongly)."""
+    """Per-level labels projected from fine labels through spec's ancestor
+    maps (training passes its own hierarchy, so a deliberately wrong one
+    supervises wrongly)."""
     return [level_map(spec, h)[fine_labels] for h in range(1, spec.levels + 1)]
 
 
@@ -441,34 +442,44 @@ def _validation_accuracy(state, dataset, spec, val_idx):
 
 
 def _final_metrics(state, dataset, spec, split, transitions):
-    """Unlabelled-set evaluation: per-level All/Old/New accuracy against
-    the dataset's own labels plus prediction-consistency rates under the
+    """Unlabelled-set evaluation: per-level All/Old/New accuracy of the
+    unlabelled rows whose fine label is known, each level's truth being
+    that label's ancestor in the dataset's own hierarchy, plus the
+    prediction-consistency rates of every unlabelled row under the
     training hierarchy."""
     unlab = split.unlabelled
     if unlab.size == 0:
         return {"note": "no unlabelled samples"}
     preds, _ = predict_levels(state, dataset.features[unlab])
+    # prediction coherence is measured against the hierarchy that was taught
+    out: dict = {
+        "consistency": {
+            str(h): r for h, r in consistency_rate(preds[-1], preds[:-1], spec).items()
+        },
+        "transition_row_sums_ok": all(
+            bool(np.all(np.abs(tm.entries.sum(axis=1) - 1.0) <= 1e-9)) for tm in transitions
+        ),
+    }
+    fine = dataset.fine_labels()[unlab]
+    known = fine >= 0
+    if not known.any():
+        out["note"] = "no unlabelled sample has a known fine label"
+        return out
     if spec.counts == dataset.spec.counts:
         eval_spec = dataset.spec
-        truth, pred = dataset.labels[unlab], np.stack(preds, axis=1)
+        truth = np.stack(_level_labels(eval_spec, fine[known]), axis=1)
+        pred = np.stack(preds, axis=1)[known]
     else:
         # other level counts: score the fine column alone, under the
         # training hierarchy's finest-level key
         eval_spec = HierarchySpec(counts=(spec.num_fine,))
-        truth, pred = dataset.fine_labels()[unlab][:, None], preds[-1][:, None]
+        truth, pred = fine[known][:, None], preds[-1][known][:, None]
     reports = evaluate_predictions(truth, pred, eval_spec, split.old_classes)
     shift = spec.levels - eval_spec.levels
-    out: dict = {"levels": {str(h + shift): r.as_dict() for h, r in reports.items()}}
+    out["levels"] = {str(h + shift): r.as_dict() for h, r in reports.items()}
     fine_report = out["levels"][str(spec.levels)]
     out["all"] = fine_report["all"]
     out["old"] = fine_report["old"]
     out["new"] = fine_report["new"]
-    # prediction coherence is measured against the hierarchy that was taught
-    out["consistency"] = {
-        str(h): r for h, r in consistency_rate(preds[-1], preds[:-1], spec).items()
-    }
     fine_report["consistency"] = out["consistency"]
-    out["transition_row_sums_ok"] = all(
-        bool(np.all(np.abs(tm.entries.sum(axis=1) - 1.0) <= 1e-9)) for tm in transitions
-    )
     return out

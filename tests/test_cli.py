@@ -209,6 +209,55 @@ class TestTrain:
         assert main(args) == 1
         assert "--seed must be at least 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["generate", "--counts", "2,4", "--per-class", "2", "--dim", "3", "--out", "{out}"],
+        ["verify-theory", "--trials", "1"],
+    ], ids=["generate", "verify-theory"])
+    def test_negative_seed_of_the_other_commands_exit_one(self, tmp_path, capsys, command):
+        args = [a.format(out=tmp_path / "d") for a in command] + ["--seed", "-1"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "seal: error: --seed must be at least 0, got -1" in captured.err
+        assert captured.out == "" and not (tmp_path / "d").exists()
+
+    def test_unknown_unlabelled_truth_is_not_scored(self, tmp_path, capsys):
+        # every row of a novel class carries -1 at both levels
+        data = tmp_path / "d"
+        assert main(["generate", "--counts", "2,4", "--per-class", "20", "--dim", "8",
+                     "--out", str(data)]) == 0
+        known = set(json.loads((data / "hierarchy.json").read_text())["known"])
+        lines = (data / "features.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert sum(int(row[2]) not in known for row in rows) == 40
+        for row in rows:
+            if int(row[2]) not in known:
+                row[1] = row[2] = "-1"
+        (data / "features.csv").write_text(
+            "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 0,
+            "data": {"features": str(data / "features.csv"),
+                     "hierarchy": str(data / "hierarchy.json")},
+            "train": {"epochs": 2}, "model": {"proj_dim": 8},
+        }))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        final = json.loads((out / "final.json").read_text())["final"]
+        assert final["new"] is None  # no novel row has a known label
+        assert f"unlabelled ACC all={final['all']:.4f}" in capsys.readouterr().out
+
+    def test_every_row_labelled_prints_the_note(self, tmp_path, capsys):
+        doc = set_field(TINY_CONFIG, "data.old_fraction", 1.0)
+        doc["data"]["labelled_fraction"] = 1.0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "trained 3 epochs; no unlabelled samples ->" in capsys.readouterr().out
+        final = json.loads((out / "final.json").read_text())["final"]
+        assert final == {"note": "no unlabelled samples"}
+
     def test_value_the_builder_rejects_names_the_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, overrides={"train": {"epochs": 0}})
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
@@ -222,8 +271,9 @@ class TestTrain:
         ("train.momentum", -2.0, "momentum must be in [0, 1), got -2.0"),
         ("train.momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
         ("train.weight_decay", -1.0, "weight_decay must be non-negative, got -1.0"),
+        ("loss.curriculum_horizon", -1, "curriculum_horizon must be at least 0, got -1"),
     ], ids=["proj_dim -3", "proj_dim 0", "proj_dim 1", "view_noise -0.1", "momentum -2",
-            "momentum 1", "weight_decay -1"])
+            "momentum 1", "weight_decay -1", "curriculum_horizon -1"])
     def test_value_the_run_cannot_use_names_the_config(self, tmp_path, capsys, field, value,
                                                        message):
         cfg = tmp_path / "config.json"
@@ -454,11 +504,47 @@ class TestEvalCommand:
         assert not (tmp_path / "proj.csv").exists()
 
 
+    @pytest.mark.parametrize("case", ["no features", "no checkpoint", "another width"])
+    def test_projection_input_errors_print_no_scores(self, tmp_path, capsys, case):
+        from seal.datagen import generate_synthetic, save_features_csv
+        from seal.hierarchy import balanced_hierarchy, save_hierarchy
+
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        spec = balanced_hierarchy([2, 6])
+        dim = 4 if case == "another width" else 8
+        ds = generate_synthetic(spec, per_class=2, dim=dim, spreads=[6, 2, 0.4], seed=1)
+        save_hierarchy(tmp_path / "h.json", spec)
+        save_features_csv(tmp_path / "feats.csv", ds)
+        capsys.readouterr()
+        args = [
+            "eval", "--pred", str(tmp_path / "feats.csv"), "--truth", str(tmp_path / "feats.csv"),
+            "--hierarchy", str(tmp_path / "h.json"),
+            "--dump-projection", str(tmp_path / "proj.csv"),
+        ]
+        if case != "no features":
+            args += ["--features", str(tmp_path / "feats.csv")]
+        if case != "no checkpoint":
+            args += ["--checkpoint", str(out / "model.seal")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("seal: error: ")
+        assert not (tmp_path / "proj.csv").exists()
+
+
 class TestVerifyTheory:
     def test_all_checks_pass(self, capsys):
         assert main(["verify-theory", "--trials", "60", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_worst_residuals_are_not_negative(self, capsys):
+        assert main(["verify-theory", "--trials", "20", "--seed", "0"]) == 0
+        worsts = [line.rsplit(" ", 1)[1].rstrip(")")
+                  for line in capsys.readouterr().out.splitlines()]
+        assert len(worsts) == 5
+        assert not any(w.startswith("-") for w in worsts), worsts
 
     def test_bad_trials_exit_one(self, capsys):
         assert main(["verify-theory", "--trials", "0"]) == 1

@@ -46,6 +46,11 @@ class TestDiscreteJoint:
         with pytest.raises(InputError):
             DiscreteJoint(axes=("A",), table=np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            DiscreteJoint(axes=("A", "B"), table=np.array([[bad, 0.5], [0.25, 0.25]]))
+
     def test_rejects_wrong_mass(self):
         with pytest.raises(InputError):
             DiscreteJoint(axes=("A",), table=np.array([0.4, 0.4]))

@@ -9,8 +9,9 @@ import pytest
 from scipy.special import erf
 
 from seal.benchmark import arm_configs, benchmark_dataset
-from seal.datagen import generate_synthetic, make_gcd_split
+from seal.datagen import Dataset, generate_synthetic, make_gcd_split
 from seal.errors import InputError, NumericError
+from seal.evaluation import consistency_rate, evaluate_predictions
 from seal.hierarchy import HierarchySpec, balanced_hierarchy, level_map
 from seal.losses import LossConfig
 from seal.model import ParamGrads, forward, init_model, softmax
@@ -327,6 +328,40 @@ class TestTrainLoop:
                        ModelConfig(hidden=(6,), proj_dim=6))
         assert all(e["loss_cgc"] == 0.0 for e in rec.epochs)
         assert rec.final["consistency"] == {}
+
+    def test_unknown_truth_is_predicted_but_not_scored(self):
+        # the rows of one novel class carry -1 at every level: the final
+        # accuracies score the other unlabelled rows, consistency all of them
+        spec, ds, split = tiny_dataset()
+        hidden_class = min(split.new_classes)
+        labels = ds.labels.copy()
+        labels[labels[:, -1] == hidden_class] = -1
+        masked = Dataset(ds.features, labels, spec)
+        state, rec = train(masked, split, spec, 0, TrainConfig(epochs=2, batch_size=8, seed=0),
+                           LossConfig(), ModelConfig(hidden=(6,), proj_dim=6))
+        unlab = split.unlabelled
+        preds, _ = predict_levels(state, ds.features[unlab])
+        scored = ds.fine_labels()[unlab] != hidden_class
+        assert 0 < scored.sum() < unlab.size
+        reports = evaluate_predictions(ds.labels[unlab][scored], np.stack(preds, axis=1)[scored],
+                                       spec, split.old_classes)
+        for h, report in reports.items():
+            level = rec.final["levels"][str(h)]
+            assert (level["all"], level["old"], level["new"]) == (
+                report.acc_all, report.acc_old, report.acc_new)
+        every_row = {str(h): r for h, r in consistency_rate(preds[-1], preds[:-1], spec).items()}
+        assert rec.final["consistency"] == every_row
+        assert rec.final["all"] == reports[spec.levels].acc_all
+
+    def test_no_known_truth_leaves_a_note(self):
+        spec, ds, split = tiny_dataset()
+        labels = ds.labels.copy()
+        labels[split.unlabelled] = -1
+        _, rec = train(Dataset(ds.features, labels, spec), split, spec, 0,
+                       TrainConfig(epochs=1, batch_size=8, seed=0), LossConfig(),
+                       ModelConfig(hidden=(6,), proj_dim=6))
+        assert rec.final["note"] == "no unlabelled sample has a known fine label"
+        assert "all" not in rec.final and set(rec.final["consistency"]) == {"1"}
 
     def test_divergence_reports_epoch_and_step(self):
         spec, ds, split = tiny_dataset()
