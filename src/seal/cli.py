@@ -340,23 +340,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _labels_by_id(path, spec):
-    """A label CSV's ids and label rows, sorted by id. A label outside
-    [0, count) of its level is a format error naming the file, the first
-    such row in file order and its column; a repeated id is an input
-    error naming the file and the id."""
+def _labels_by_id(path, spec, check):
+    """A label CSV's ids and label rows, sorted by id. check(labels, spec)
+    sees the labels in file order; its InputError, which names the first
+    bad row and its column, becomes a format error naming the file. A
+    repeated id is an input error naming the file and the id."""
     import numpy as np
 
     from .datagen import load_labels
 
     ids, labels = load_labels(path, spec.levels)
-    bad = (labels < 0) | (labels >= np.asarray(spec.counts))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        value, where = labels[row, col], f"{path}: row {row}: level_{col + 1} label"
-        if value == -1:
-            raise DataFormatError(f"{where} is -1 (unknown); cannot score")
-        raise DataFormatError(f"{where} {value} outside [0, {spec.counts[col]})")
+    try:
+        check(labels, spec)
+    except InputError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     order = np.argsort(ids)
     ids = ids[order]
     repeats = np.flatnonzero(ids[1:] == ids[:-1])
@@ -365,24 +362,37 @@ def _labels_by_id(path, spec):
     return ids, labels[order]
 
 
+def _check_predicted(labels, spec) -> None:
+    """Every predicted label names a class of its level, in [0, count)."""
+    import numpy as np
+
+    bad = (labels < 0) | (labels >= np.asarray(spec.counts))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        value, where = labels[row, col], f"row {row}: level_{col + 1} label"
+        if value == -1:
+            raise InputError(f"{where} is -1 (unknown); cannot score")
+        raise InputError(f"{where} {value} outside [0, {spec.counts[col]})")
+
+
 def _cmd_eval(args) -> int:
     import numpy as np
 
-    from .evaluation import evaluate_predictions
+    from .datagen import _check_label_consistency
+    from .evaluation import evaluate_known
     from .hierarchy import load_hierarchy
 
     spec, known = load_hierarchy(args.hierarchy)
     # ids are text: a prediction matches the truth row whose id string it repeats
-    pred_ids, pred = _labels_by_id(args.pred, spec)
-    true_ids, truth = _labels_by_id(args.truth, spec)
+    pred_ids, pred = _labels_by_id(args.pred, spec, _check_predicted)
+    true_ids, truth = _labels_by_id(args.truth, spec, _check_label_consistency)
     if not np.array_equal(pred_ids, true_ids):
-        raise InputError("prediction and truth files cover different sample ids")
-    reports = evaluate_predictions(truth, pred, spec, known)
+        raise InputError(f"{args.pred} and {args.truth} cover different sample ids")
+    scored = evaluate_known(truth[:, -1], pred.T, spec, spec, known)
     # the projection's own errors come before any score is printed
     if args.dump_projection:
         _dump_projection(args)
-    doc = {str(h): r.as_dict() for h, r in reports.items()}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(scored.get("levels", scored), indent=2, sort_keys=True))
     return 0
 
 

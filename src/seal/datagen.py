@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, InputError
-from .hierarchy import HierarchySpec, level_map
+from .hierarchy import HierarchySpec, label_matrix
 
 # Default tree-mixture scales for the 3-level desk-scale benchmark
 # (level-1 radius, level-2 offset, level-3 offset, sample noise). Sample
@@ -63,30 +63,25 @@ class Dataset:
 
 
 def _check_label_consistency(labels: np.ndarray, spec: HierarchySpec) -> None:
-    """Every known (non -1) coarse label must be the ancestor of the
-    row's fine label; rows with unknown fine labels are checked only for
-    range."""
-    for h in range(1, spec.levels + 1):
-        col = labels[:, h - 1]
-        bad = (col < -1) | (col >= spec.counts[h - 1])
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise InputError(
-                f"row {row}: level_{h} label {labels[row, h - 1]} outside "
-                f"[0, {spec.counts[h - 1]})"
-            )
+    """Every label lies in [0, count) of its level or is -1 (unknown), and
+    every known coarse label is the ancestor of the row's known fine
+    label. The first bad row in order is named, with its column."""
+    counts = np.asarray(spec.counts)
+    bad = (labels < -1) | (labels >= counts)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise InputError(
+            f"row {row}: level_{col + 1} label {labels[row, col]} outside [0, {counts[col]})"
+        )
     fine = labels[:, -1]
-    has_fine = fine >= 0
-    for h in range(1, spec.levels):
-        ancestors = level_map(spec, h)
-        col = labels[:, h - 1]
-        mismatch = has_fine & (col >= 0) & (col != ancestors[np.where(has_fine, fine, 0)])
-        if mismatch.any():
-            row = int(np.argmax(mismatch))
-            raise InputError(
-                f"row {row}: level_{h} label {col[row]} is not the ancestor "
-                f"{ancestors[fine[row]]} of fine label {fine[row]}"
-            )
+    ancestors = label_matrix(spec, np.maximum(fine, 0))
+    mismatch = (fine[:, None] >= 0) & (labels >= 0) & (labels != ancestors)
+    if mismatch.any():
+        row, col = np.argwhere(mismatch)[0]
+        raise InputError(
+            f"row {row}: level_{col + 1} label {labels[row, col]} is not the ancestor "
+            f"{ancestors[row, col]} of fine label {fine[row]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -172,14 +167,12 @@ def generate_synthetic(
         ratios = imbalance ** (np.arange(n_fine) / max(n_fine - 1, 1))
         class_sizes = np.maximum(1, np.round(per_class * ratios)).astype(np.int64)
 
-    ancestors = [level_map(spec, h) for h in range(1, spec.levels + 1)]
-    features, labels = [], []
+    features = []
     for k in range(n_fine):
         noise = rng.standard_normal((class_sizes[k], dim)) * spreads[-1]
         features.append(centroids[k] + noise)
-        row = np.array([anc[k] for anc in ancestors], dtype=np.int64)
-        labels.append(np.tile(row, (class_sizes[k], 1)))
-    return Dataset(np.concatenate(features), np.concatenate(labels), spec)
+    labels = label_matrix(spec, np.repeat(np.arange(n_fine), class_sizes))
+    return Dataset(np.concatenate(features), labels, spec)
 
 
 def _auto_spreads(levels: int):
@@ -265,7 +258,7 @@ _CSV_FIELDS = {"delimiter": ",", "comments": None, "quotechar": '"'}
 def _fields(line: str) -> list[str]:
     """The fields of one non-empty CSV line, split as the bulk parse
     splits them."""
-    return np.loadtxt([line], dtype=str, ndmin=1, **_CSV_FIELDS).tolist()
+    return np.loadtxt([line], dtype=object, ndmin=1, **_CSV_FIELDS).tolist()
 
 
 def _read_csv(path: Path, row_dtype) -> tuple[list[str], np.ndarray]:

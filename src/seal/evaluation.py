@@ -5,7 +5,9 @@ assignment between predicted clusters and true classes, solved on the
 full prediction set and then reused to decompose accuracy over known
 ("old") and novel ("new") classes. Consistency diagnostics measure how
 often the predicted fine class's ancestor agrees with the predicted
-coarse class at each level.
+coarse class at each level. ``evaluate_known`` is the one home of the
+rule that says which rows are scored against which truth, shared by
+``final.json`` and ``seal eval``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
-from .hierarchy import HierarchySpec, level_map
+from .hierarchy import HierarchySpec, label_matrix, level_map
 
 
 def hungarian_acc(y_true, y_pred, num_classes: int) -> tuple[float, dict[int, int]]:
@@ -148,3 +150,26 @@ def evaluate_predictions(
         reports[h] = EvalReport(acc, acc_old, acc_new, consistency)
     return reports
 
+
+def evaluate_known(fine_truth, pred_levels, spec: HierarchySpec, truth_spec: HierarchySpec,
+                   old_fine_classes) -> dict:
+    """Score one prediction array per level of spec against fine truth
+    that may be -1 (unknown): evaluate_predictions on the known rows, each
+    level's truth that label's ancestor in truth_spec (the fine column
+    alone when truth_spec has other level counts). The consistency rates
+    of every row under spec stand in the fine level's report; a note
+    replaces the scores when no row is known."""
+    rates = consistency_rate(pred_levels[-1], pred_levels[:-1], spec)
+    out: dict = {"consistency": {str(h): r for h, r in rates.items()}}
+    known = fine_truth >= 0
+    if not known.any():
+        return {**out, "note": "no unlabelled sample has a known fine label"}
+    if truth_spec.counts != spec.counts:
+        truth_spec, pred_levels = HierarchySpec(counts=(spec.num_fine,)), pred_levels[-1:]
+    truth = label_matrix(truth_spec, fine_truth[known])
+    pred = np.stack(pred_levels, axis=1)[known]
+    reports = evaluate_predictions(truth, pred, truth_spec, old_fine_classes)
+    levels = {str(h + spec.levels - truth_spec.levels): r.as_dict() for h, r in reports.items()}
+    fine = levels[str(spec.levels)]
+    fine["consistency"] = out["consistency"]
+    return {**out, "levels": levels, "all": fine["all"], "old": fine["old"], "new": fine["new"]}

@@ -93,6 +93,12 @@ def level_map(spec: HierarchySpec, level: int) -> np.ndarray:
     return fine_to_level(spec, np.arange(spec.num_fine), level)
 
 
+def label_matrix(spec: HierarchySpec, fine_labels) -> np.ndarray:
+    """The (n, H) labels of n fine labels: column h - 1 holds each one's
+    level-h ancestor, the last column the fine labels themselves."""
+    return np.stack([level_map(spec, h) for h in range(1, spec.levels + 1)], axis=1)[fine_labels]
+
+
 def balanced_hierarchy(counts) -> HierarchySpec:
     """Build a spec whose parent maps distribute children contiguously
     and as evenly as possible (child k of level h+1 gets parent

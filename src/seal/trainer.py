@@ -21,8 +21,8 @@ import numpy as np
 from . import losses as L
 from .datagen import Dataset, GcdSplit
 from .errors import InputError, NumericError
-from .evaluation import consistency_rate, evaluate_predictions, hungarian_acc
-from .hierarchy import HierarchySpec, init_transition, level_map, update_transition
+from .evaluation import evaluate_known, hungarian_acc
+from .hierarchy import HierarchySpec, init_transition, label_matrix, update_transition
 from .losses import LossConfig
 from .model import (
     ModelState,
@@ -181,13 +181,6 @@ def validation_split(labelled: np.ndarray, val_fraction: float, seed: int):
     return train, val
 
 
-def _level_labels(spec: HierarchySpec, fine_labels: np.ndarray) -> list[np.ndarray]:
-    """Per-level labels projected from fine labels through spec's ancestor
-    maps (training passes its own hierarchy, so a deliberately wrong one
-    supervises wrongly)."""
-    return [level_map(spec, h)[fine_labels] for h in range(1, spec.levels + 1)]
-
-
 def predict_levels(state: ModelState, features: np.ndarray):
     """Argmax class predictions at every level, taken of the raw cosine
     scores (softmax(scores / tau) keeps their order), plus those scores.
@@ -280,7 +273,8 @@ def train(
     steps_per_epoch = max(1, math.ceil(n_active / train_cfg.batch_size))
     total_steps = steps_per_epoch * train_cfg.epochs
     fine_labels = dataset.fine_labels()
-    per_level_labels = _level_labels(spec, np.maximum(fine_labels, 0))
+    # the training hierarchy's ancestors: a deliberately wrong one supervises wrongly
+    per_level_labels = label_matrix(spec, np.maximum(fine_labels, 0)).T
 
     velocity = ParamGrads.zeros_like(state)
     record = RunRecord(
@@ -433,53 +427,24 @@ def sgd_step(state, grads, velocity, lr, momentum, weight_decay):
 
 def _validation_accuracy(state, dataset, spec, val_idx):
     preds, _ = predict_levels(state, dataset.features[val_idx])
-    truth = _level_labels(spec, dataset.fine_labels()[val_idx])
+    truth = label_matrix(spec, dataset.fine_labels()[val_idx])
     out = {}
     for h in range(1, spec.levels + 1):
-        acc, _ = hungarian_acc(truth[h - 1], preds[h - 1], spec.counts[h - 1])
+        acc, _ = hungarian_acc(truth[:, h - 1], preds[h - 1], spec.counts[h - 1])
         out[str(h)] = acc
     return out
 
 
 def _final_metrics(state, dataset, spec, split, transitions):
-    """Unlabelled-set evaluation: per-level All/Old/New accuracy of the
-    unlabelled rows whose fine label is known, each level's truth being
-    that label's ancestor in the dataset's own hierarchy, plus the
-    prediction-consistency rates of every unlabelled row under the
-    training hierarchy."""
+    """Unlabelled-set evaluation under ``evaluation.evaluate_known``, the
+    dataset's own hierarchy giving the truth and the training hierarchy
+    the consistency, plus whether every transition row sums to one."""
     unlab = split.unlabelled
     if unlab.size == 0:
         return {"note": "no unlabelled samples"}
     preds, _ = predict_levels(state, dataset.features[unlab])
-    # prediction coherence is measured against the hierarchy that was taught
-    out: dict = {
-        "consistency": {
-            str(h): r for h, r in consistency_rate(preds[-1], preds[:-1], spec).items()
-        },
-        "transition_row_sums_ok": all(
-            bool(np.all(np.abs(tm.entries.sum(axis=1) - 1.0) <= 1e-9)) for tm in transitions
-        ),
-    }
-    fine = dataset.fine_labels()[unlab]
-    known = fine >= 0
-    if not known.any():
-        out["note"] = "no unlabelled sample has a known fine label"
-        return out
-    if spec.counts == dataset.spec.counts:
-        eval_spec = dataset.spec
-        truth = np.stack(_level_labels(eval_spec, fine[known]), axis=1)
-        pred = np.stack(preds, axis=1)[known]
-    else:
-        # other level counts: score the fine column alone, under the
-        # training hierarchy's finest-level key
-        eval_spec = HierarchySpec(counts=(spec.num_fine,))
-        truth, pred = fine[known][:, None], preds[-1][known][:, None]
-    reports = evaluate_predictions(truth, pred, eval_spec, split.old_classes)
-    shift = spec.levels - eval_spec.levels
-    out["levels"] = {str(h + shift): r.as_dict() for h, r in reports.items()}
-    fine_report = out["levels"][str(spec.levels)]
-    out["all"] = fine_report["all"]
-    out["old"] = fine_report["old"]
-    out["new"] = fine_report["new"]
-    fine_report["consistency"] = out["consistency"]
+    out = evaluate_known(dataset.fine_labels()[unlab], preds, spec, dataset.spec, split.old_classes)
+    out["transition_row_sums_ok"] = all(
+        bool(np.all(np.abs(tm.entries.sum(axis=1) - 1.0) <= 1e-9)) for tm in transitions
+    )
     return out

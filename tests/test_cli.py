@@ -416,13 +416,19 @@ class TestEvalCommand:
         ({("pred", 3, 1): "-1"}, "pred", "row 3: level_1 label is -1 (unknown); cannot score"),
         ({("pred", 3, 1): "2"}, "pred", "row 3: level_1 label 2 outside [0, 2)"),
         ({("truth", 3, 1): "7"}, "truth", "row 3: level_1 label 7 outside [0, 2)"),
-        ({("truth", 3, 2): "-1"}, "truth", "row 3: level_2 label is -1 (unknown); cannot score"),
+        # an unknown fine truth is not an error: the row is predicted, not scored
+        ({("truth", 3, 2): "-1"}, None, None),
         ({("truth", 3, 2): "-2"}, "truth", "row 3: level_2 label -2 outside [0, 4)"),
         # the first bad row in file order, not in id order ("12" sorts before "2")
         ({("pred", 12, 1): "5", ("pred", 2, 2): "4"}, "pred",
          "row 2: level_2 label 4 outside [0, 4)"),
+        ({("truth", 12, 1): "5", ("truth", 2, 2): "4"}, "truth",
+         "row 2: level_2 label 4 outside [0, 4)"),
+        # a known coarse truth must be the ancestor of the known fine truth
+        ({("truth", 3, 1): "1"}, "truth",
+         "row 3: level_1 label 1 is not the ancestor 0 of fine label 0"),
     ], ids=["pred 99", "pred -1", "pred level_1 2", "truth 7", "truth -1", "truth -2",
-            "file order"])
+            "file order", "truth file order", "truth not the ancestor"])
     def test_label_out_of_range_names_file_row_and_column(self, tmp_path, capsys, edits, named,
                                                           message):
         self._write_files(tmp_path)
@@ -437,8 +443,78 @@ class TestEvalCommand:
             "eval", "--pred", str(files["pred"]), "--truth", str(files["truth"]),
             "--hierarchy", str(tmp_path / "h.json"),
         ])
+        if named is None:
+            assert code == 0
+            return
         assert code == 1
         assert f"seal: error: {files[named]}: {message}" in capsys.readouterr().err
+
+    def _masked_truth(self, tmp_path, capsys):
+        """seal generate --counts 2,4 --per-class 5 --dim 3, a truth file
+        with every novel row's labels masked to -1, and predictions that
+        miss every third row and are consistent on every row."""
+        d = tmp_path / "d"
+        assert main(["generate", "--counts", "2,4", "--per-class", "5", "--dim", "3",
+                     "--out", str(d)]) == 0
+        capsys.readouterr()
+        known = set(json.loads((d / "hierarchy.json").read_text())["known"])
+        lines = (d / "features.csv").read_text().splitlines()
+        truth, pred = [lines[0]], ["id,level_1,level_2"]
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            fine = int(cells[2])
+            guess = (fine + 1) % 4 if i % 3 == 0 else fine
+            pred.append(f"{cells[0]},{guess // 2},{guess}")
+            if fine not in known:
+                cells[1] = cells[2] = "-1"
+            truth.append(",".join(cells))
+        (tmp_path / "masked.csv").write_text("\n".join(truth) + "\n")
+        (tmp_path / "pred.csv").write_text("\n".join(pred) + "\n")
+        return ["eval", "--pred", str(tmp_path / "pred.csv"), "--truth",
+                str(tmp_path / "masked.csv"), "--hierarchy", str(d / "hierarchy.json")]
+
+    def test_unknown_fine_truth_is_predicted_not_scored(self, tmp_path, capsys):
+        from seal.datagen import load_labels
+        from seal.evaluation import evaluate_predictions
+        from seal.hierarchy import load_hierarchy
+
+        args = self._masked_truth(tmp_path, capsys)
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        spec, known = load_hierarchy(tmp_path / "d" / "hierarchy.json")
+        _, truth = load_labels(tmp_path / "masked.csv", 2)
+        _, pred = load_labels(tmp_path / "pred.csv", 2)
+        kept = truth[:, 1] >= 0
+        assert kept.sum() == 10
+        expected = evaluate_predictions(truth[kept], pred[kept], spec, known)[2]
+        assert expected.acc_all < 1.0
+        assert json.loads(out)["2"]["all"] == expected.acc_all
+        # another prediction for a masked row (row 5) changes nothing printed
+        lines = (tmp_path / "pred.csv").read_text().splitlines()
+        assert lines[6].startswith("5,")
+        lines[6] = "5,1,3" if lines[6] != "5,1,3" else "5,1,2"
+        (tmp_path / "pred.csv").write_text("\n".join(lines) + "\n")
+        assert main(args) == 0
+        assert capsys.readouterr().out == out
+
+    def test_no_known_fine_truth_prints_the_note(self, tmp_path, capsys):
+        self._write_files(tmp_path)
+        lines = (tmp_path / "truth.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for cells in rows:
+            cells[2] = "-1"
+        (tmp_path / "truth.csv").write_text(
+            "\n".join([lines[0]] + [",".join(cells) for cells in rows]) + "\n"
+        )
+        code = main([
+            "eval", "--pred", str(tmp_path / "pred.csv"),
+            "--truth", str(tmp_path / "truth.csv"),
+            "--hierarchy", str(tmp_path / "h.json"),
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"consistency": {"1": 1.0},
+                       "note": "no unlabelled sample has a known fine label"}
 
     def test_projection_dump(self, tmp_path, capsys):
         self._write_files(tmp_path)
@@ -786,6 +862,46 @@ class TestMetricsCorruption:
         entries[1][field] = value
         data = "".join(json.dumps(e) + "\n" for e in entries).encode()
         assert self.check(tmp_path, capsys, data) == (0 if field == "val_acc" else 1)
+
+
+class TestEvalCorruption:
+    """Every truncation and a seeded set of byte substitutions of either
+    seal eval CSV either scores (exit 0) or is exit 1 with a message
+    naming the file; none ends in a traceback."""
+
+    PRED = b"id,level_1,level_2\na,0,0\nb,0,1\nc,1,2\nd,1,3\ne,0,1\nf,1,2\n"
+    TRUTH = b"id,level_1,level_2,f0\na,0,0,0.5\nb,0,1,1\nc,1,2,-2\nd,-1,3,3e1\ne,0,0,4\nf,-1,-1,5\n"
+
+    @staticmethod
+    def check(tmp_path, capsys, name: str, data: bytes) -> int:
+        from seal.hierarchy import balanced_hierarchy, save_hierarchy
+
+        files = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
+        if not (tmp_path / "h.json").exists():
+            save_hierarchy(tmp_path / "h.json", balanced_hierarchy([2, 4]), known={0, 1})
+        files["pred"].write_bytes(TestEvalCorruption.PRED)
+        files["truth"].write_bytes(TestEvalCorruption.TRUTH)
+        files[name].write_bytes(data)
+        code = main(["eval", "--pred", str(files["pred"]), "--truth", str(files["truth"]),
+                     "--hierarchy", str(tmp_path / "h.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (name, data, err)
+        if code == 1:
+            assert err.startswith("seal: error: ") and str(files[name]) in err, (data, err)
+        return code
+
+    @pytest.mark.parametrize("name", ["pred", "truth"])
+    def test_every_truncation_and_byte_substitution(self, tmp_path, capsys, name):
+        full = getattr(self, name.upper())
+        assert self.check(tmp_path, capsys, name, full) == 0
+        codes = {self.check(tmp_path, capsys, name, full[:cut]) for cut in range(len(full))}
+        rng = np.random.default_rng(16)
+        alphabet = b'0123456789.-+e",# \nab\xff\x00'
+        for _ in range(100):
+            data = bytearray(full)
+            data[int(rng.integers(len(data)))] = alphabet[int(rng.integers(len(alphabet)))]
+            codes.add(self.check(tmp_path, capsys, name, bytes(data)))
+        assert codes == {0, 1}
 
 
 class TestConfigCorruption:

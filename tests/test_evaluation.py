@@ -8,6 +8,7 @@ import pytest
 from seal.errors import InputError
 from seal.evaluation import (
     consistency_rate,
+    evaluate_known,
     evaluate_predictions,
     hungarian_acc,
     split_acc,
@@ -178,3 +179,40 @@ class TestEvaluatePredictions:
         assert (shared[1].acc_all, shared[1].acc_old, shared[1].acc_new) == (0.875, 1.0, 0.75)
         with pytest.raises(TypeError, match="reassign_subsets"):
             evaluate_predictions(y_true, y_pred, spec, {0, 1}, reassign_subsets=True)
+
+
+class TestEvaluateKnown:
+    SPEC = balanced_hierarchy([2, 4])
+    # rows 2 and 5 have unknown fine truth
+    FINE_TRUTH = np.array([0, 1, -1, 2, 3, -1])
+    PRED = np.array([[0, 1], [0, 0], [1, 3], [1, 2], [0, 3], [1, 0]])
+
+    def test_scores_the_known_rows_under_ancestor_truth(self):
+        out = evaluate_known(self.FINE_TRUTH, self.PRED.T, self.SPEC, self.SPEC, {0, 2})
+        known = self.FINE_TRUTH >= 0
+        fine = self.FINE_TRUTH[known]
+        truth = np.stack([fine_to_level(self.SPEC, fine, 1), fine], axis=1)
+        expected = evaluate_predictions(truth, self.PRED[known], self.SPEC, {0, 2})
+        assert out["levels"]["1"] == expected[1].as_dict()
+        for key in ("all", "old", "new"):
+            assert out["levels"]["2"][key] == expected[2].as_dict()[key] == out[key]
+        # consistency covers all six predicted rows, not the four scored ones
+        rates = consistency_rate(self.PRED[:, 1], [self.PRED[:, 0]], self.SPEC)
+        assert rates == {1: 4 / 6} != expected[2].consistency
+        assert out["consistency"] == out["levels"]["2"]["consistency"] == {"1": 4 / 6}
+        assert "note" not in out
+
+    def test_no_known_row_gives_a_note(self):
+        out = evaluate_known(np.full(6, -1), self.PRED.T, self.SPEC, self.SPEC, {0, 2})
+        assert out == {"consistency": {"1": 4 / 6},
+                       "note": "no unlabelled sample has a known fine label"}
+
+    def test_other_level_counts_score_the_fine_column_alone(self):
+        flat = balanced_hierarchy([4])
+        out = evaluate_known(self.FINE_TRUTH, self.PRED.T, self.SPEC, flat, {0, 2})
+        known = self.FINE_TRUTH >= 0
+        expected = evaluate_predictions(
+            self.FINE_TRUTH[known][:, None], self.PRED[known][:, 1:], flat, {0, 2}
+        )
+        assert set(out["levels"]) == {"2"}
+        assert out["all"] == expected[1].acc_all

@@ -12,6 +12,7 @@ from seal.hierarchy import (
     balanced_hierarchy,
     fine_to_level,
     init_transition,
+    label_matrix,
     level_map,
     load_hierarchy,
     save_hierarchy,
@@ -103,6 +104,16 @@ class TestFineToLevel:
                 for h in range(spec.levels - 1, level - 1, -1):
                     stepwise = spec.parent_maps[h - 1][stepwise]
                 np.testing.assert_array_equal(level_map(spec, level), stepwise)
+
+    def test_label_matrix_columns_are_the_ancestors(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            spec = random_spec(rng)
+            fine = rng.integers(0, spec.num_fine, 9)
+            matrix = label_matrix(spec, fine)
+            assert matrix.shape == (9, spec.levels) and matrix.dtype == np.int64
+            for level in range(1, spec.levels + 1):
+                np.testing.assert_array_equal(matrix[:, level - 1], fine_to_level(spec, fine, level))
 
 
 class TestInitTransition:
