@@ -26,8 +26,11 @@ print("\nclassifier probability row sums per level:",
       [float(softmax(s / state.tau).sum(axis=1).mean()) for s in trace.scores])
 
 # gradient from one head at a time: backward forms each head's gradient
-# over its own and coarser slices only, so finer slices' columns get none
+# over its own and coarser slices only, so finer slices' columns get none.
+# backward returns one gradient per tensor of parameters(state), in its
+# order: weight matrices (the projection last), biases, prototypes
 bounds = state.slice_bounds
+d_projection = len(state.weights) - 1
 rng = np.random.default_rng(2)
 print("\nmax |grad| into each slice's projection columns, per head:")
 for level in (1, 2, 3):
@@ -35,7 +38,7 @@ for level in (1, 2, 3):
     d_scores[level - 1] = rng.standard_normal(trace.scores[level - 1].shape)
     grads = backward(state, trace, d_scores=d_scores)
     per_slice = [
-        float(np.abs(grads.weights[-1][:, bounds[k] : bounds[k + 1]]).max())
+        float(np.abs(grads[d_projection][:, bounds[k] : bounds[k + 1]]).max())
         for k in range(state.levels)
     ]
     print(f"  level-{level} head: " + ", ".join(f"slice {k + 1} {g:.2e}" for k, g in enumerate(per_slice)))
@@ -53,4 +56,4 @@ down = float((forward(state, x).scores[2] * upstream).sum())
 w[i, j] += step
 fd = (up - down) / (2 * step)
 print(f"\nfinite-difference check on one encoder weight: "
-      f"analytic {grads.weights[0][i, j]:.10f} vs fd {fd:.10f}")
+      f"analytic {grads[0][i, j]:.10f} vs fd {fd:.10f}")

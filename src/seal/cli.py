@@ -340,11 +340,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _labels_by_id(path, spec, check):
+def _labels_by_id(path, hierarchy, spec, check):
     """A label CSV's ids and label rows, sorted by id. check(labels, spec)
     sees the labels in file order; its InputError, which names the first
-    bad row and its column, becomes a format error naming the file. A
-    repeated id is an input error naming the file and the id."""
+    bad row and its column, becomes a format error naming the file and
+    the hierarchy file spec was read from, since either may be the one at
+    fault. A repeated id is an input error naming the file and the id."""
     import numpy as np
 
     from .datagen import load_labels
@@ -353,7 +354,7 @@ def _labels_by_id(path, spec, check):
     try:
         check(labels, spec)
     except InputError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+        raise DataFormatError(f"{path}: {exc} (hierarchy {hierarchy})") from exc
     order = np.argsort(ids)
     ids = ids[order]
     repeats = np.flatnonzero(ids[1:] == ids[:-1])
@@ -384,8 +385,8 @@ def _cmd_eval(args) -> int:
 
     spec, known = load_hierarchy(args.hierarchy)
     # ids are text: a prediction matches the truth row whose id string it repeats
-    pred_ids, pred = _labels_by_id(args.pred, spec, _check_predicted)
-    true_ids, truth = _labels_by_id(args.truth, spec, _check_label_consistency)
+    pred_ids, pred = _labels_by_id(args.pred, args.hierarchy, spec, _check_predicted)
+    true_ids, truth = _labels_by_id(args.truth, args.hierarchy, spec, _check_label_consistency)
     if not np.array_equal(pred_ids, true_ids):
         raise InputError(f"{args.pred} and {args.truth} cover different sample ids")
     scored = evaluate_known(truth[:, -1], pred.T, spec, spec, known)

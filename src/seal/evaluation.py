@@ -24,10 +24,14 @@ from .hierarchy import HierarchySpec, label_matrix, level_map
 def hungarian_acc(y_true, y_pred, num_classes: int) -> tuple[float, dict[int, int]]:
     """Clustering accuracy under the optimal one-to-one assignment.
 
-    Builds the num_classes x num_classes contingency matrix (padded with
-    zero rows/columns when either side uses fewer ids, which covers the
-    estimated-class-count case) and solves the maximum-weight matching.
-    Returns (accuracy, {predicted cluster -> true class}).
+    Builds the square contingency matrix over the ids that occur on
+    either side (an id seen on one side only gets a zero row or column,
+    which covers the estimated-class-count case) and solves the
+    maximum-weight matching. Ids in range(num_classes) that never occur
+    would add only zero rows and columns, which change no maximum, so
+    the table grows with the rows scored, not with num_classes. Returns
+    (accuracy, {predicted cluster -> true class}), with a key for every
+    id that occurs.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -42,10 +46,11 @@ def hungarian_acc(y_true, y_pred, num_classes: int) -> tuple[float, dict[int, in
             f"labels exceed num_classes={num_classes}: "
             f"max true {y_true.max()}, max pred {y_pred.max()}"
         )
-    contingency = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(contingency, (y_pred, y_true), 1)
+    ids, codes = np.unique(np.concatenate([y_pred, y_true]), return_inverse=True)
+    contingency = np.zeros((ids.size, ids.size), dtype=np.int64)
+    np.add.at(contingency, (codes[: y_pred.size], codes[y_pred.size :]), 1)
     rows, cols = linear_sum_assignment(contingency, maximize=True)
-    assignment = {int(r): int(c) for r, c in zip(rows, cols)}
+    assignment = {int(ids[r]): int(ids[c]) for r, c in zip(rows, cols)}
     matched = contingency[rows, cols].sum()
     return float(matched) / y_true.size, assignment
 

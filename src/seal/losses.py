@@ -275,9 +275,11 @@ def supcon_loss(
     masked = np.where(off_diag, scores, -np.inf)
     row_max = masked.max(axis=1, keepdims=True)
     exp_shift = np.exp(masked - row_max)
-    lse = row_max[:, 0] + np.log(exp_shift.sum(axis=1))
+    # one row sum serves both the log-sum-exp and the softmax denominator
+    row_sums = exp_shift.sum(axis=1, keepdims=True)
+    lse = row_max[:, 0] + np.log(row_sums[:, 0])
     loss = float(-((pos_weight * scores).sum() - lse.sum()) / n)
-    denom_soft = exp_shift / exp_shift.sum(axis=1, keepdims=True)
+    denom_soft = exp_shift / row_sums
     d_scores = -(pos_weight - denom_soft) / n
     d_z[rows] = (d_scores @ zps) / tau
     d_zp[rows] = (d_scores.T @ zs) / tau

@@ -46,10 +46,12 @@ def gelu_grad(x: np.ndarray, erf_x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf_x) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
 
 
-def parameters(params: ModelState | ParamGrads) -> list[np.ndarray]:
-    """The parameter tensors of a model, or their gradients, in the one
-    order every walk over them uses: weight matrices, biases, prototypes."""
-    return [*params.weights, *params.biases, *params.prototypes]
+def parameters(state: ModelState) -> list[np.ndarray]:
+    """The parameter tensors of a model in the one order every walk over
+    them uses: weight matrices, biases, prototypes. ``backward`` returns
+    its gradients, and the optimizer keeps its velocity, as lists in this
+    order."""
+    return [*state.weights, *state.biases, *state.prototypes]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -296,28 +298,6 @@ def forward(state: ModelState, x: np.ndarray, out: ForwardTrace | None = None) -
     return trace
 
 
-@dataclass
-class ParamGrads:
-    """Gradients shaped exactly like the corresponding ModelState lists."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    prototypes: list[np.ndarray]
-
-    @staticmethod
-    def zeros_like(state: ModelState) -> "ParamGrads":
-        return ParamGrads(
-            weights=[np.zeros_like(w) for w in state.weights],
-            biases=[np.zeros_like(b) for b in state.biases],
-            prototypes=[np.zeros_like(p) for p in state.prototypes],
-        )
-
-    def add_(self, other: "ParamGrads") -> "ParamGrads":
-        for mine, theirs in zip(parameters(self), parameters(other)):
-            mine += theirs
-        return self
-
-
 def _norm_backward(d_out: np.ndarray, normalized: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Backprop through v -> v / ||v|| given the normalized rows."""
     radial = (d_out * normalized).sum(axis=1, keepdims=True)
@@ -329,8 +309,9 @@ def backward(
     trace: ForwardTrace,
     d_scores: list[np.ndarray | None] | None = None,
     d_slices: list[np.ndarray | None] | None = None,
-) -> ParamGrads:
-    """Reverse-mode accumulation honoring the per-level gradient masks.
+) -> list[np.ndarray]:
+    """Reverse-mode accumulation honoring the per-level gradient masks;
+    returns one gradient per tensor of ``parameters(state)``, in its order.
 
     d_scores[h-1] is the upstream gradient w.r.t. the level-h cosine
     scores (pre-temperature); d_slices[h-1] is w.r.t. the normalized
@@ -397,7 +378,7 @@ def backward(
         if layer > 0:
             d_h = d_a @ state.weights[layer].T
             d_a = d_h * gelu_grad(trace.pre_activations[layer - 1], trace.erfs[layer - 1])
-    return ParamGrads(weights=d_weights, biases=d_biases, prototypes=d_protos)
+    return [*d_weights, *d_biases, *d_protos]
 
 
 def renormalize_prototypes(state: ModelState) -> None:

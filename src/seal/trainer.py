@@ -26,7 +26,6 @@ from .hierarchy import HierarchySpec, init_transition, label_matrix, update_tran
 from .losses import LossConfig
 from .model import (
     ModelState,
-    ParamGrads,
     backward,
     forward,
     init_model,
@@ -276,7 +275,7 @@ def train(
     # the training hierarchy's ancestors: a deliberately wrong one supervises wrongly
     per_level_labels = label_matrix(spec, np.maximum(fine_labels, 0)).T
 
-    velocity = ParamGrads.zeros_like(state)
+    velocity = [np.zeros_like(p) for p in parameters(state)]
     record = RunRecord(
         config={
             "train": asdict(train_cfg),
@@ -351,9 +350,9 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
     and the soft contrastive and supervised contrastive terms mixed by
     ``balance``; then, with transition matrices, the consistency term on
     view a at tau * tau_c. Returns the ``loss_*`` components and the
-    ParamGrads of ``loss_total``. Pseudo-labels, soft targets and the
-    coarse heads' finer slices are constants, as the gradient controller
-    makes them.
+    gradient of ``loss_total``, a list in ``parameters`` order.
+    Pseudo-labels, soft targets and the coarse heads' finer slices are
+    constants, as the gradient controller makes them.
     """
     trace_a = forward(state, view_a)
     trace_b = forward(state, view_b)
@@ -409,16 +408,18 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
         "loss_total": L.total_loss({"rep": rep, "cls": cls_sum, "cgc": cgc_value}),
     }
     grads = backward(state, trace_a, d_scores=d_scores_a, d_slices=d_slices_a)
-    grads.add_(backward(state, trace_b, d_scores=d_scores_b, d_slices=d_slices_b))
+    grads_b = backward(state, trace_b, d_scores=d_scores_b, d_slices=d_slices_b)
+    for g, g_b in zip(grads, grads_b):
+        g += g_b
     return components, grads
 
 
 def sgd_step(state, grads, velocity, lr, momentum, weight_decay):
-    """Momentum SGD over ``parameters``; weight decay applies to the weight
-    matrices only, which come first, and prototype rows are renormalized
-    afterwards."""
+    """Momentum SGD over ``parameters``, whose order ``grads`` and
+    ``velocity`` share; weight decay applies to the weight matrices only,
+    which come first, and prototype rows are renormalized afterwards."""
     n_weights = len(state.weights)
-    for i, (p, g, v) in enumerate(zip(parameters(state), parameters(grads), parameters(velocity))):
+    for i, (p, g, v) in enumerate(zip(parameters(state), grads, velocity)):
         v *= momentum
         v += (g + weight_decay * p) if i < n_weights else g
         p -= lr * v

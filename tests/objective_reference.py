@@ -41,9 +41,7 @@ def assign(state, vec):
 
 
 def grads_vector(grads):
-    return np.concatenate(
-        [t.ravel() for t in grads.weights + grads.biases + grads.prototypes]
-    )
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def frozen_scores(state, x, level, frozen_slices):

@@ -63,6 +63,31 @@ BEYOND_THE_PARSER = pytest.mark.parametrize(
 )
 
 
+def corruptions(full: bytes, seed: int, alphabet: bytes, count: int = 100):
+    """Every truncation of ``full``, then ``count`` copies with one byte
+    substituted, at a seeded position by a seeded byte of ``alphabet``."""
+    yield from (full[:cut] for cut in range(len(full)))
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(full)
+        data[int(rng.integers(len(data)))] = alphabet[int(rng.integers(len(alphabet)))]
+        yield bytes(data)
+
+
+JSON_ALPHABET = b'0123456789.-+e"[]{},: \ntruefalsnl\xff\x00'
+
+
+def exit_code_naming(capsys, argv, path) -> int:
+    """main(argv)'s exit code, which must be 0, 1 or 2; an exit-1 message
+    must name ``path``. An exception that escapes main fails the test."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, err)
+    if code == 1:
+        assert err.startswith("seal: error: ") and str(path) in err, err
+    return code
+
+
 class TestGenerate:
     def test_writes_dataset_files(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -516,6 +541,20 @@ class TestEvalCommand:
         assert doc == {"consistency": {"1": 1.0},
                        "note": "no unlabelled sample has a known fine label"}
 
+    def test_classes_that_never_occur_allocate_nothing(self, tmp_path, capsys):
+        # a 100000-class level scored on three rows: the contingency table
+        # spans the four ids that occur, not 100000 x 100000 of them
+        (tmp_path / "h.json").write_text('{"counts": [100000], "parents": [], "known": [0]}')
+        (tmp_path / "pred.csv").write_text("id,level_1\n0,0\n1,5\n2,99999\n")
+        (tmp_path / "truth.csv").write_text("id,level_1\n0,0\n1,7\n2,7\n")
+        code = main([
+            "eval", "--pred", str(tmp_path / "pred.csv"), "--truth", str(tmp_path / "truth.csv"),
+            "--hierarchy", str(tmp_path / "h.json"),
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["1"]["all"], doc["1"]["old"], doc["1"]["new"]) == (2 / 3, 1.0, 0.5)
+
     def test_projection_dump(self, tmp_path, capsys):
         self._write_files(tmp_path)
         cfg = write_config(tmp_path)
@@ -872,35 +911,36 @@ class TestEvalCorruption:
     PRED = b"id,level_1,level_2\na,0,0\nb,0,1\nc,1,2\nd,1,3\ne,0,1\nf,1,2\n"
     TRUTH = b"id,level_1,level_2,f0\na,0,0,0.5\nb,0,1,1\nc,1,2,-2\nd,-1,3,3e1\ne,0,0,4\nf,-1,-1,5\n"
 
+    HIERARCHY = b'{"counts": [2, 4], "parents": [[0, 0, 1, 1]], "known": [0, 1]}'
+
     @staticmethod
     def check(tmp_path, capsys, name: str, data: bytes) -> int:
-        from seal.hierarchy import balanced_hierarchy, save_hierarchy
+        files = {
+            "pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv",
+            "hierarchy": tmp_path / "h.json",
+        }
+        for which, path in files.items():
+            path.write_bytes(data if which == name else getattr(TestEvalCorruption, which.upper()))
+        return exit_code_naming(capsys, [
+            "eval", "--pred", str(files["pred"]), "--truth", str(files["truth"]),
+            "--hierarchy", str(files["hierarchy"]),
+        ], files[name])
 
-        files = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
-        if not (tmp_path / "h.json").exists():
-            save_hierarchy(tmp_path / "h.json", balanced_hierarchy([2, 4]), known={0, 1})
-        files["pred"].write_bytes(TestEvalCorruption.PRED)
-        files["truth"].write_bytes(TestEvalCorruption.TRUTH)
-        files[name].write_bytes(data)
-        code = main(["eval", "--pred", str(files["pred"]), "--truth", str(files["truth"]),
-                     "--hierarchy", str(tmp_path / "h.json")])
-        err = capsys.readouterr().err
-        assert code in (0, 1), (name, data, err)
-        if code == 1:
-            assert err.startswith("seal: error: ") and str(files[name]) in err, (data, err)
-        return code
-
-    @pytest.mark.parametrize("name", ["pred", "truth"])
-    def test_every_truncation_and_byte_substitution(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize("name, seed, alphabet", [
+        ("pred", 16, b'0123456789.-+e",# \nab\xff\x00'),
+        ("truth", 16, b'0123456789.-+e",# \nab\xff\x00'),
+        # a hierarchy that loads but disagrees with a CSV's labels is named
+        # beside the CSV
+        ("hierarchy", 17, JSON_ALPHABET),
+    ], ids=["pred", "truth", "hierarchy"])
+    def test_every_truncation_and_byte_substitution(self, tmp_path, capsys, name, seed,
+                                                    alphabet):
         full = getattr(self, name.upper())
         assert self.check(tmp_path, capsys, name, full) == 0
-        codes = {self.check(tmp_path, capsys, name, full[:cut]) for cut in range(len(full))}
-        rng = np.random.default_rng(16)
-        alphabet = b'0123456789.-+e",# \nab\xff\x00'
-        for _ in range(100):
-            data = bytearray(full)
-            data[int(rng.integers(len(data)))] = alphabet[int(rng.integers(len(alphabet)))]
-            codes.add(self.check(tmp_path, capsys, name, bytes(data)))
+        codes = {
+            self.check(tmp_path, capsys, name, data)
+            for data in corruptions(full, seed, alphabet)
+        }
         assert codes == {0, 1}
 
 
@@ -959,6 +999,20 @@ class TestConfigCorruption:
     ])
     def test_bad_value_names_the_file(self, tmp_path, field, value):
         assert self.check(tmp_path, json.dumps(set_field(TINY_CONFIG, field, value)).encode())
+
+    def test_every_truncation_and_byte_substitution_through_main(self, tmp_path, capsys):
+        # a config that loads trains the tiny run; one that does not is
+        # exit 1 naming the file, and none ends in a traceback. Written
+        # without spaces, so that no substitution turns a space into a
+        # digit ahead of a number (3 epochs into 73)
+        path = tmp_path / "config.json"
+        codes = set()
+        full = json.dumps(TINY_CONFIG, separators=(",", ":")).encode()
+        for data in corruptions(full, 18, JSON_ALPHABET):
+            path.write_bytes(data)
+            argv = ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+            codes.add(exit_code_naming(capsys, argv, path))
+        assert codes == {0, 1}
 
     def test_truncated_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

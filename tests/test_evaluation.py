@@ -63,6 +63,21 @@ class TestHungarianAcc:
         assert acc == 0.5
         assert len(set(assignment.values())) == len(assignment)  # injective
 
+    def test_table_spans_the_ids_that_occur(self):
+        # ids skipped on either side change no accuracy, and every
+        # predicted cluster that occurs is a key of the assignment
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            k = int(rng.integers(3, 8))
+            y_true = rng.choice(rng.choice(k, size=int(rng.integers(1, k)), replace=False), 20)
+            y_pred = rng.choice(rng.choice(k, size=int(rng.integers(1, k)), replace=False), 20)
+            acc, assignment = hungarian_acc(y_true, y_pred, k)
+            assert acc == brute_force_acc(y_true, y_pred, k)
+            assert set(np.unique(y_pred).tolist()) <= set(assignment)
+            assert len(set(assignment.values())) == len(assignment)
+        acc, assignment = hungarian_acc([0, 7, 7], [0, 5, 99_999], 100_000)
+        assert acc == 2 / 3 and set(assignment) == {0, 5, 7, 99_999}
+
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             hungarian_acc([], [], 3)

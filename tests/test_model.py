@@ -19,13 +19,14 @@ from seal.model import (
     gelu,
     init_model,
     load_checkpoint,
+    parameters,
     renormalize_prototypes,
     save_checkpoint,
     slice_widths,
     softmax,
 )
 
-from objective_reference import frozen_scores
+from objective_reference import frozen_scores, grads_vector
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
@@ -53,15 +54,6 @@ def assign_params(state, vec):
     for t in tensors:
         t[...] = vec[offset : offset + t.size].reshape(t.shape)
         offset += t.size
-
-
-def flatten_grads(grads):
-    parts = (
-        [w.ravel() for w in grads.weights]
-        + [b.ravel() for b in grads.biases]
-        + [p.ravel() for p in grads.prototypes]
-    )
-    return np.concatenate(parts)
 
 
 def fd_gradient(value_fn, state, step=FD_STEP):
@@ -282,9 +274,19 @@ class TestBackward:
         d_slices = [rng.standard_normal(z.shape) for z in trace.z_slices]
         grads = backward(state, trace, d_scores=d_scores, d_slices=d_slices)
         weights, biases, protos = reference_backward(state, trace, d_scores, d_slices)
-        for mine, ref in zip(grads.weights + grads.biases + grads.prototypes,
-                             weights + biases + protos):
+        assert len(grads) == len(weights + biases + protos)
+        for mine, ref in zip(grads, weights + biases + protos):
             assert np.array_equal(mine, ref)
+
+    def test_gradients_come_in_parameter_order(self):
+        # one gradient per tensor of parameters(state), shaped like it, so
+        # the optimizer can zip the two lists
+        spec = balanced_hierarchy([2, 3, 6])
+        state = init_model(spec, in_dim=4, hidden=(5, 7), proj_dim=10, seed=11)
+        trace = forward(state, np.random.default_rng(14).standard_normal((6, 4)))
+        upstream = [None, np.ones_like(trace.scores[1]), None]
+        for grads in (backward(state, trace), backward(state, trace, d_scores=upstream)):
+            assert [g.shape for g in grads] == [p.shape for p in parameters(state)]
 
     def test_without_hidden_layers_matches_fd(self):
         # the projection is the only layer, so it reads the input itself
@@ -295,10 +297,10 @@ class TestBackward:
         trace = forward(state, x)
         d_scores = [rng.standard_normal(s.shape) for s in trace.scores]
         grads = backward(state, trace, d_scores=[None, None, d_scores[2]])
-        assert [w.shape for w in grads.weights] == [(4, 6)]
+        assert [g.shape for g in grads[: len(state.weights)]] == [(4, 6)]
         fd = fd_gradient(lambda s: float((forward(s, x).scores[2] * d_scores[2]).sum()), state)
         np.testing.assert_allclose(
-            flatten_grads(grads), fd, rtol=0, atol=FD_RTOL * max(1.0, np.abs(fd).max())
+            grads_vector(grads), fd, rtol=0, atol=FD_RTOL * max(1.0, np.abs(fd).max())
         )
 
     def test_zero_upstream_gives_zero_grads(self):
@@ -306,7 +308,7 @@ class TestBackward:
         trace = forward(state, np.random.default_rng(6).standard_normal((3, 4)))
         d_scores = [np.zeros_like(s) for s in trace.scores]
         grads = backward(state, trace, d_scores=d_scores)
-        assert np.all(flatten_grads(grads) == 0.0)
+        assert np.all(grads_vector(grads) == 0.0)
 
     def test_score_gradients_match_fd_at_finest_level(self):
         # finest head has an all-pass mask, so plain finite differences apply
@@ -316,7 +318,7 @@ class TestBackward:
         upstream = rng.standard_normal((3, 6))
         trace = forward(state, x)
         d_scores = [None, None, upstream]
-        analytic = flatten_grads(backward(state, trace, d_scores=d_scores))
+        analytic = grads_vector(backward(state, trace, d_scores=d_scores))
         fd = fd_gradient(lambda s: float((forward(s, x).scores[2] * upstream).sum()), state)
         np.testing.assert_allclose(analytic, fd, rtol=0, atol=FD_RTOL * max(1.0, np.abs(fd).max()))
 
@@ -326,7 +328,7 @@ class TestBackward:
         x = rng.standard_normal((3, 4))
         upstream = [rng.standard_normal(z.shape) for z in forward(state, x).z_slices]
         trace = forward(state, x)
-        analytic = flatten_grads(backward(state, trace, d_slices=upstream))
+        analytic = grads_vector(backward(state, trace, d_slices=upstream))
 
         def value(s):
             t = forward(s, x)
@@ -344,7 +346,7 @@ class TestBackward:
         base_trace = forward(state, x)
         frozen = [z.copy() for z in base_trace.z_slices]
         upstream = rng.standard_normal(base_trace.scores[0].shape)
-        analytic = flatten_grads(
+        analytic = grads_vector(
             backward(state, base_trace, d_scores=[upstream, None, None])
         )
         fd = fd_gradient(
@@ -361,11 +363,13 @@ class TestBackward:
         trace = forward(state, x)
         upstream = rng.standard_normal(trace.scores[0].shape)
         grads = backward(state, trace, d_scores=[upstream, None, None])
+        n = len(state.weights)
+        d_weights, d_biases, d_protos = grads[:n], grads[n : 2 * n], grads[2 * n :]
         bounds = state.slice_bounds
-        assert np.all(grads.weights[-1][:, bounds[1] :] == 0.0)
-        assert np.all(grads.biases[-1][bounds[1] :] == 0.0)
-        assert np.all(grads.prototypes[1] == 0.0)
-        assert np.all(grads.prototypes[2] == 0.0)
+        assert np.all(d_weights[-1][:, bounds[1] :] == 0.0)
+        assert np.all(d_biases[-1][bounds[1] :] == 0.0)
+        assert np.all(d_protos[1] == 0.0)
+        assert np.all(d_protos[2] == 0.0)
         frozen = [z.copy() for z in trace.z_slices]
         base = float((frozen_scores(state, x, 1, frozen) * upstream).sum())
         probe = state.copy()

@@ -14,7 +14,7 @@ from seal.errors import InputError, NumericError
 from seal.evaluation import consistency_rate, evaluate_predictions
 from seal.hierarchy import HierarchySpec, balanced_hierarchy, level_map
 from seal.losses import LossConfig
-from seal.model import ParamGrads, forward, init_model, softmax
+from seal.model import forward, init_model, softmax
 from seal.trainer import (
     CyclingSampler,
     ModelConfig,
@@ -213,21 +213,19 @@ class TestSgdStep:
         spec = balanced_hierarchy([2, 6])
         state = init_model(spec, in_dim=5, hidden=(4, 3), proj_dim=6, seed=1)
         ref = state.copy()
-        velocity, ref_vel = ParamGrads.zeros_like(state), ParamGrads.zeros_like(state)
+        tensors = state.weights + state.biases + state.prototypes
+        velocity = [np.zeros_like(t) for t in tensors]
+        ref_vel = [np.zeros_like(t) for t in tensors]
+        n = len(state.weights)
         rng = np.random.default_rng(2)
         lr, momentum, decay = 0.05, 0.9, 0.01
         for _ in range(3):
-            grads = ParamGrads(
-                weights=[rng.standard_normal(w.shape) for w in state.weights],
-                biases=[rng.standard_normal(b.shape) for b in state.biases],
-                prototypes=[rng.standard_normal(p.shape) for p in state.prototypes],
-            )
+            grads = [rng.standard_normal(t.shape) for t in tensors]
             sgd_step(state, grads, velocity, lr, momentum, decay)
-            for w, g, v in zip(ref.weights, grads.weights, ref_vel.weights):
+            for w, g, v in zip(ref.weights, grads[:n], ref_vel[:n]):
                 v[...] = momentum * v + (g + decay * w)
                 w -= lr * v
-            for t, g, v in zip(ref.biases + ref.prototypes, grads.biases + grads.prototypes,
-                               ref_vel.biases + ref_vel.prototypes):
+            for t, g, v in zip(ref.biases + ref.prototypes, grads[n:], ref_vel[n:]):
                 v[...] = momentum * v + g
                 t -= lr * v
             for p in ref.prototypes:
