@@ -1,26 +1,21 @@
 """Taxonomies and dynamic fine-to-coarse transition matrices.
 
-Builds a three-level hierarchy, walks labels up the tree, and shows how
-a transition matrix row for a novel class drifts from uniform toward
-the coarse posterior of the samples predicted as that class while known
-rows stay frozen.
+Builds a three-level hierarchy, reads each fine class's ancestors from
+its ``ancestors`` table, and shows how a transition matrix row for a
+novel class drifts from uniform toward the coarse posterior of the
+samples predicted as that class while known rows stay frozen.
 """
 
 import numpy as np
 
-from seal.hierarchy import (
-    balanced_hierarchy,
-    fine_to_level,
-    init_transition,
-    update_transition,
-)
+from seal.hierarchy import balanced_hierarchy, init_transition, update_transition
 
 spec = balanced_hierarchy([2, 4, 8])
 print("counts per level:", spec.counts)
 print("parent maps:", [m.tolist() for m in spec.parent_maps])
 
 for fine in (0, 3, 5, 7):
-    chain = [fine_to_level(spec, fine, h) for h in (1, 2, 3)]
+    chain = spec.ancestors[fine].tolist()
     print(f"fine class {fine}: ancestors coarse->fine = {chain}")
 
 # classes 0..3 are known, 4..7 are novel

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -176,7 +177,8 @@ _AT_LEAST = {"seed": 0, "data.split_seed": 0, "data.synthetic.seed": 0, "model.h
 
 def _type_ok(value, expected) -> bool:
     """Whether a parsed JSON value fits an annotation: no bool for a
-    number, an int for a float, a list for a sequence or tuple type."""
+    number, a finite int or float for a float, a list for a sequence or
+    tuple type."""
     import types
     import typing
 
@@ -189,7 +191,10 @@ def _type_ok(value, expected) -> bool:
     if isinstance(value, bool):
         return False
     if expected is float:
-        return isinstance(value, (int, float))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            return False
     origin = typing.get_origin(expected)
     if origin is not None:
         item = typing.get_args(expected)[0]

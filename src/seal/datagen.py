@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, InputError
-from .hierarchy import HierarchySpec, label_matrix
+from .hierarchy import HierarchySpec
 
 # Default tree-mixture scales for the 3-level desk-scale benchmark
 # (level-1 radius, level-2 offset, level-3 offset, sample noise). Sample
@@ -74,7 +74,7 @@ def _check_label_consistency(labels: np.ndarray, spec: HierarchySpec) -> None:
             f"row {row}: level_{col + 1} label {labels[row, col]} outside [0, {counts[col]})"
         )
     fine = labels[:, -1]
-    ancestors = label_matrix(spec, np.maximum(fine, 0))
+    ancestors = spec.ancestors[np.maximum(fine, 0)]
     mismatch = (fine[:, None] >= 0) & (labels >= 0) & (labels != ancestors)
     if mismatch.any():
         row, col = np.argwhere(mismatch)[0]
@@ -171,7 +171,7 @@ def generate_synthetic(
     for k in range(n_fine):
         noise = rng.standard_normal((class_sizes[k], dim)) * spreads[-1]
         features.append(centroids[k] + noise)
-    labels = label_matrix(spec, np.repeat(np.arange(n_fine), class_sizes))
+    labels = spec.ancestors[np.repeat(np.arange(n_fine), class_sizes)]
     return Dataset(np.concatenate(features), labels, spec)
 
 
@@ -297,7 +297,8 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
     lines are skipped. Every error is a DataFormatError naming the file;
     "row N" counts data rows from 0, the index into the returned
     Dataset. Row widths, label and feature values, finiteness, label
-    range and parent consistency are all checked.
+    range and parent consistency are all checked; a label the hierarchy
+    refuses names the hierarchy file too.
     """
     from .hierarchy import load_hierarchy
 
@@ -325,7 +326,9 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
     try:
         return spec, Dataset(features, np.ascontiguousarray(table["labels"]), spec)
     except InputError as exc:  # the Dataset's own checks, named for the file
-        raise DataFormatError(f"{path}: {exc}") from exc
+        # with every feature finite, a label check failed: it read the hierarchy too
+        source = f" (hierarchy {hierarchy_path})" if np.isfinite(features).all() else ""
+        raise DataFormatError(f"{path}: {exc}{source}") from exc
 
 
 def load_labels(path, levels: int) -> tuple[np.ndarray, np.ndarray]:

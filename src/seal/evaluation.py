@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
-from .hierarchy import HierarchySpec, label_matrix, level_map
+from .hierarchy import HierarchySpec, level_map
 
 
 def hungarian_acc(y_true, y_pred, num_classes: int) -> tuple[float, dict[int, int]]:
@@ -171,7 +171,7 @@ def evaluate_known(fine_truth, pred_levels, spec: HierarchySpec, truth_spec: Hie
         return {**out, "note": "no unlabelled sample has a known fine label"}
     if truth_spec.counts != spec.counts:
         truth_spec, pred_levels = HierarchySpec(counts=(spec.num_fine,)), pred_levels[-1:]
-    truth = label_matrix(truth_spec, fine_truth[known])
+    truth = truth_spec.ancestors[fine_truth[known]]
     pred = np.stack(pred_levels, axis=1)[known]
     reports = evaluate_predictions(truth, pred, truth_spec, old_fine_classes)
     levels = {str(h + spec.levels - truth_spec.levels): r.as_dict() for h, r in reports.items()}

@@ -3,10 +3,12 @@
 A hierarchy has H levels ordered coarse to fine; level H is the target
 granularity. Class counts are ``counts = (n_1, ..., n_H)`` and each
 ``parent_maps[i]`` sends a level-(i+2) class index to its level-(i+1)
-parent. Transition matrices map fine-class posteriors to pseudo-coarse
-posteriors: rows of known fine classes are frozen one-hot at the true
-parent, rows of novel classes start uniform and drift toward the mean
-coarse posterior of the samples currently predicted as that class.
+parent; the spec walks them once into its ``ancestors`` table, which
+every per-level label, label check and score indexes. Transition
+matrices map fine-class posteriors to pseudo-coarse posteriors: rows of
+known fine classes are frozen one-hot at the true parent, rows of novel
+classes start uniform and drift toward the mean coarse posterior of the
+samples currently predicted as that class.
 """
 
 from __future__ import annotations
@@ -30,11 +32,15 @@ class HierarchySpec:
     integer array of length counts[i+1] mapping level-(i+2) classes to
     level-(i+1) classes. Every parent must have at least one child.
     Optional per-level class names are carried for reporting only.
+    ``ancestors`` is the (n_H, H) int64 table built from the parent maps:
+    column h - 1 holds each fine class's level-h ancestor, the last column
+    the fine classes themselves. The spec holds both read-only.
     """
 
     counts: tuple[int, ...]
     parent_maps: tuple[np.ndarray, ...] = ()
     names: tuple[tuple[str, ...], ...] | None = field(default=None, compare=False)
+    ancestors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
@@ -43,7 +49,7 @@ class HierarchySpec:
             raise InputError(f"class counts must be positive, got {counts}")
         if any(a > b for a, b in zip(counts, counts[1:])):
             raise InputError(f"class counts must be non-decreasing coarse to fine, got {counts}")
-        maps = tuple(np.asarray(m, dtype=np.int64) for m in self.parent_maps)
+        maps = tuple(np.array(m, dtype=np.int64) for m in self.parent_maps)
         object.__setattr__(self, "parent_maps", maps)
         if len(maps) != len(counts) - 1:
             raise InputError(
@@ -59,6 +65,13 @@ class HierarchySpec:
                 raise InputError(f"parent map {i} has entries outside [0, {parent_count})")
             if np.unique(m).size != parent_count:
                 raise InputError(f"parent map {i} is not surjective onto {parent_count} parents")
+        columns = [np.arange(counts[-1], dtype=np.int64)]
+        for m in reversed(maps):
+            columns.insert(0, m[columns[0]])
+        ancestors = np.stack(columns, axis=1)
+        for table in (*maps, ancestors):  # the table is built once from these copies
+            table.flags.writeable = False
+        object.__setattr__(self, "ancestors", ancestors)
 
     @property
     def levels(self) -> int:
@@ -69,34 +82,11 @@ class HierarchySpec:
         return self.counts[-1]
 
 
-def fine_to_level(spec: HierarchySpec, fine_label, level: int):
-    """Map fine-class labels (level H) to their ancestor at ``level``.
-
-    Accepts a scalar or an integer array; returns the same shape.
-    ``level == H`` is the identity.
-    """
-    if not 1 <= level <= spec.levels:
-        raise InputError(f"level {level} outside [1, {spec.levels}]")
-    labels = np.asarray(fine_label, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= spec.num_fine):
-        raise InputError(f"fine label outside [0, {spec.num_fine})")
-    out = labels
-    for h in range(spec.levels - 1, level - 1, -1):
-        out = spec.parent_maps[h - 1][out]
-    if np.isscalar(fine_label) or np.ndim(fine_label) == 0:
-        return int(out)
-    return out
-
-
 def level_map(spec: HierarchySpec, level: int) -> np.ndarray:
     """The full fine-to-``level`` ancestor map as an array of length n_H."""
-    return fine_to_level(spec, np.arange(spec.num_fine), level)
-
-
-def label_matrix(spec: HierarchySpec, fine_labels) -> np.ndarray:
-    """The (n, H) labels of n fine labels: column h - 1 holds each one's
-    level-h ancestor, the last column the fine labels themselves."""
-    return np.stack([level_map(spec, h) for h in range(1, spec.levels + 1)], axis=1)[fine_labels]
+    if not 1 <= level <= spec.levels:
+        raise InputError(f"level {level} outside [1, {spec.levels}]")
+    return spec.ancestors[:, level - 1]
 
 
 def balanced_hierarchy(counts) -> HierarchySpec:

@@ -486,7 +486,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         claimed = {field: meta[field] for field in ("levels", "in_dim", "proj_dim")}
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing tensor or metadata field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed tensors or metadata ({exc})") from exc
     _check_layout(path, weights, biases, bounds, prototypes)
     implied = {

@@ -22,7 +22,7 @@ from . import losses as L
 from .datagen import Dataset, GcdSplit
 from .errors import InputError, NumericError
 from .evaluation import evaluate_known, hungarian_acc
-from .hierarchy import HierarchySpec, init_transition, label_matrix, update_transition
+from .hierarchy import HierarchySpec, init_transition, update_transition
 from .losses import LossConfig
 from .model import (
     ModelState,
@@ -273,7 +273,7 @@ def train(
     total_steps = steps_per_epoch * train_cfg.epochs
     fine_labels = dataset.fine_labels()
     # the training hierarchy's ancestors: a deliberately wrong one supervises wrongly
-    per_level_labels = label_matrix(spec, np.maximum(fine_labels, 0)).T
+    per_level_labels = spec.ancestors[np.maximum(fine_labels, 0)].T
 
     velocity = [np.zeros_like(p) for p in parameters(state)]
     record = RunRecord(
@@ -428,7 +428,7 @@ def sgd_step(state, grads, velocity, lr, momentum, weight_decay):
 
 def _validation_accuracy(state, dataset, spec, val_idx):
     preds, _ = predict_levels(state, dataset.features[val_idx])
-    truth = label_matrix(spec, dataset.fine_labels()[val_idx])
+    truth = spec.ancestors[dataset.fine_labels()[val_idx]]
     out = {}
     for h in range(1, spec.levels + 1):
         acc, _ = hungarian_acc(truth[:, h - 1], preds[h - 1], spec.counts[h - 1])

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ from objective_reference import (
     grads_vector,
     objective_reference,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def report(criterion, name, ok, detail):
@@ -465,7 +468,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "seal.cli", "--deterministic",
              "train", "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append((out / "metrics.jsonl").read_bytes())

@@ -2,8 +2,11 @@
 config validation, and byte-level determinism."""
 
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from seal.cli import main
 from seal.errors import InputError
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY_CONFIG = {
     "seed": 3,
@@ -200,6 +204,19 @@ class TestTrain:
         ("model.hidden", [-3], "config.json:model.hidden: must be at least 1, got [-3]"),
         ("model.hidden", [6, 0], "config.json:model.hidden: must be at least 1, got [6, 0]"),
         ("train.seed", 5, "config.json:train.seed: unknown key"),
+        # a float field takes only a finite number
+        ("loss.tau", math.inf, "config.json:loss.tau: expected float, got Infinity"),
+        ("loss.tau", -math.inf, "config.json:loss.tau: expected float, got -Infinity"),
+        ("loss.tau", math.nan, "config.json:loss.tau: expected float, got NaN"),
+        ("loss.tau_sharp", math.nan, "config.json:loss.tau_sharp: expected float, got NaN"),
+        ("loss.tau_consistency", math.nan,
+         "config.json:loss.tau_consistency: expected float, got NaN"),
+        ("loss.entropy_weight", math.nan,
+         "config.json:loss.entropy_weight: expected float, got NaN"),
+        ("train.lr_initial", math.inf, "config.json:train.lr_initial: expected float, got Infinity"),
+        ("train.view_noise", math.inf, "config.json:train.view_noise: expected float, got Infinity"),
+        pytest.param("loss.tau", 10**400, "config.json:loss.tau: expected float, got 1000",
+                     id="loss.tau-int past the float range"),
     ])
     def test_mistyped_config_names_field(self, tmp_path, capsys, field, value, expected):
         doc = value if field is None else set_field(TINY_CONFIG, field, value)
@@ -271,6 +288,25 @@ class TestTrain:
         final = json.loads((out / "final.json").read_text())["final"]
         assert final["new"] is None  # no novel row has a known label
         assert f"unlabelled ACC all={final['all']:.4f}" in capsys.readouterr().out
+
+    def test_labels_against_an_edited_hierarchy_name_both_files(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        args = ["generate", "--counts", "2,4", "--per-class", "3", "--dim", "3", "--out", str(data)]
+        assert main(args) == 0
+        hierarchy = data / "hierarchy.json"
+        doc = json.loads(hierarchy.read_text())
+        doc["parents"] = [[0, 1, 1, 1]]  # fine class 1 moves under coarse class 1
+        hierarchy.write_text(json.dumps(doc))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 0, "data": {"features": str(data / "features.csv"), "hierarchy": str(hierarchy)},
+        }))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"seal: error: {cfg}: {data / 'features.csv'}: row 3: level_1 label 0 is not the "
+            f"ancestor 1 of fine label 1 (hierarchy {hierarchy})\n"
+        )
 
     def test_every_row_labelled_prints_the_note(self, tmp_path, capsys):
         doc = set_field(TINY_CONFIG, "data.old_fraction", 1.0)
@@ -619,7 +655,9 @@ class TestEvalCommand:
         assert not (tmp_path / "proj.csv").exists()
 
 
-    @pytest.mark.parametrize("case", ["no features", "no checkpoint", "another width"])
+    @pytest.mark.parametrize("case", [
+        "no features", "no checkpoint", "another width", "sidecar levels 1e400",
+    ])
     def test_projection_input_errors_print_no_scores(self, tmp_path, capsys, case):
         from seal.datagen import generate_synthetic, save_features_csv
         from seal.hierarchy import balanced_hierarchy, save_hierarchy
@@ -641,10 +679,16 @@ class TestEvalCommand:
             args += ["--features", str(tmp_path / "feats.csv")]
         if case != "no checkpoint":
             args += ["--checkpoint", str(out / "model.seal")]
+        if case == "sidecar levels 1e400":  # json reads infinity, which int() cannot take
+            sidecar = out / "model.seal.meta.json"
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "levels": math.inf})
+                               .replace("Infinity", "1e400"))
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("seal: error: ")
+        if case == "sidecar levels 1e400":
+            assert f"{out / 'model.seal'}: malformed tensors or metadata" in captured.err
         assert not (tmp_path / "proj.csv").exists()
 
 
@@ -1030,7 +1074,7 @@ class TestDeterminism:
             proc = subprocess.run(
                 [sys.executable, "-m", "seal.cli", "--deterministic",
                  "train", "--config", str(cfg), "--out", str(out)],
-                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(out)

@@ -17,7 +17,7 @@ from seal.datagen import (
     save_features_csv,
 )
 from seal.errors import DataFormatError, InputError
-from seal.hierarchy import balanced_hierarchy, fine_to_level, save_hierarchy
+from seal.hierarchy import balanced_hierarchy, save_hierarchy
 
 
 def two_level_spec():
@@ -44,7 +44,7 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(spec, per_class=10, dim=12, spreads=[8, 2, 1, 0.2], seed=1)
         fine = ds.fine_labels()
         for h in (1, 2):
-            np.testing.assert_array_equal(ds.labels[:, h - 1], fine_to_level(spec, fine, h))
+            np.testing.assert_array_equal(ds.labels[:, h - 1], spec.ancestors[fine, h - 1])
 
     def test_distance_ordering(self):
         # within-fine < within-coarse < global mean pairwise distance
@@ -556,4 +556,4 @@ class TestDatasetInvariants:
             )
             fine = ds.fine_labels()
             for h in range(1, spec.levels):
-                np.testing.assert_array_equal(ds.labels[:, h - 1], fine_to_level(spec, fine, h))
+                np.testing.assert_array_equal(ds.labels[:, h - 1], spec.ancestors[fine, h - 1])

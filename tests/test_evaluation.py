@@ -13,7 +13,7 @@ from seal.evaluation import (
     hungarian_acc,
     split_acc,
 )
-from seal.hierarchy import balanced_hierarchy, fine_to_level
+from seal.hierarchy import balanced_hierarchy
 
 
 def brute_force_acc(y_true, y_pred, num_classes):
@@ -155,7 +155,7 @@ class TestConsistencyRate:
         spec = balanced_hierarchy([2, 4, 8])
         rng = np.random.default_rng(2)
         fine = rng.integers(0, 8, size=100)
-        levels = [fine_to_level(spec, fine, h) for h in (1, 2)]
+        levels = [spec.ancestors[fine, h - 1] for h in (1, 2)]
         rates = consistency_rate(fine, levels, spec)
         assert rates == {1: 1.0, 2: 1.0}
 
@@ -206,7 +206,7 @@ class TestEvaluateKnown:
         out = evaluate_known(self.FINE_TRUTH, self.PRED.T, self.SPEC, self.SPEC, {0, 2})
         known = self.FINE_TRUTH >= 0
         fine = self.FINE_TRUTH[known]
-        truth = np.stack([fine_to_level(self.SPEC, fine, 1), fine], axis=1)
+        truth = self.SPEC.ancestors[fine]
         expected = evaluate_predictions(truth, self.PRED[known], self.SPEC, {0, 2})
         assert out["levels"]["1"] == expected[1].as_dict()
         for key in ("all", "old", "new"):

@@ -10,12 +10,11 @@ from seal.hierarchy import (
     HierarchySpec,
     TransitionMatrix,
     balanced_hierarchy,
-    fine_to_level,
     init_transition,
-    label_matrix,
     level_map,
     load_hierarchy,
     save_hierarchy,
+    shuffled_hierarchy,
     update_transition,
 )
 
@@ -64,56 +63,73 @@ class TestHierarchySpec:
 
 
 class TestFineToLevel:
+    """A fine class's ancestor at each level: the spec's ``ancestors``
+    table, column h - 1 for level h, and level_map's column of it."""
+
+    @staticmethod
+    def stepwise(spec, level):
+        # hop up one parent map at a time from the fine classes
+        out = np.arange(spec.num_fine)
+        for h in range(spec.levels - 1, level - 1, -1):
+            out = spec.parent_maps[h - 1][out]
+        return out
+
     def test_direct_lookup(self):
         spec = HierarchySpec(counts=(2, 4), parent_maps=(np.array([0, 0, 1, 1]),))
-        assert fine_to_level(spec, 3, 1) == 1
+        assert spec.ancestors[3].tolist() == [1, 3]
 
     def test_identity_at_target_level(self):
         spec = balanced_hierarchy([2, 4, 8])
-        for k in range(8):
-            assert fine_to_level(spec, k, 3) == k
+        assert spec.ancestors[:, -1].tolist() == list(range(8))
 
     def test_two_hop_composition(self):
         spec = HierarchySpec(
             counts=(2, 4, 8),
             parent_maps=(np.array([0, 0, 1, 1]), np.array([0, 0, 1, 1, 2, 2, 3, 3])),
         )
-        assert fine_to_level(spec, 5, 1) == 1
+        assert spec.ancestors[5].tolist() == [1, 2, 5]
 
     def test_rejects_bad_inputs(self):
         spec = balanced_hierarchy([2, 4])
-        with pytest.raises(InputError):
-            fine_to_level(spec, 4, 1)
-        with pytest.raises(InputError):
-            fine_to_level(spec, 0, 3)
-        with pytest.raises(InputError):
-            fine_to_level(spec, 0, 0)
+        for level in (0, spec.levels + 1):
+            with pytest.raises(InputError, match=f"level {level} outside \\[1, 2\\]"):
+                level_map(spec, level)
 
     def test_array_input(self):
         spec = balanced_hierarchy([2, 4, 8])
-        out = fine_to_level(spec, np.arange(8), 1)
-        assert out.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert level_map(spec, 1).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert spec.ancestors[[7, 0, 4], 0].tolist() == [1, 0, 1]
 
     def test_path_independence(self):
-        # hopping down one level at a time equals the direct transitive map
+        # the table equals the stepwise parent walk at every level, and
+        # level_map is its column
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            spec = random_spec(rng)
+        specs = [
+            balanced_hierarchy([2, 4, 8]),
+            balanced_hierarchy([3, 12, 24]),
+            shuffled_hierarchy([3, 12, 24], seed=5),
+            HierarchySpec(
+                counts=(2, 3, 5),
+                parent_maps=(np.array([1, 0, 1]), np.array([2, 0, 1, 2, 0])),
+            ),
+            HierarchySpec(counts=(4,)),
+        ] + [random_spec(rng) for _ in range(50)]
+        for spec in specs:
+            table = spec.ancestors
+            assert table.shape == (spec.num_fine, spec.levels) and table.dtype == np.int64
             for level in range(1, spec.levels + 1):
-                stepwise = np.arange(spec.num_fine)
-                for h in range(spec.levels - 1, level - 1, -1):
-                    stepwise = spec.parent_maps[h - 1][stepwise]
-                np.testing.assert_array_equal(level_map(spec, level), stepwise)
+                np.testing.assert_array_equal(table[:, level - 1], self.stepwise(spec, level))
+                np.testing.assert_array_equal(level_map(spec, level), table[:, level - 1])
 
-    def test_label_matrix_columns_are_the_ancestors(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            spec = random_spec(rng)
-            fine = rng.integers(0, spec.num_fine, 9)
-            matrix = label_matrix(spec, fine)
-            assert matrix.shape == (9, spec.levels) and matrix.dtype == np.int64
-            for level in range(1, spec.levels + 1):
-                np.testing.assert_array_equal(matrix[:, level - 1], fine_to_level(spec, fine, level))
+    def test_table_is_read_only(self):
+        parents = np.array([0, 0, 1, 1])
+        spec = HierarchySpec(counts=(2, 4), parent_maps=(parents,))
+        for table in (spec.ancestors, level_map(spec, 1), spec.parent_maps[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        parents[0] = 1  # the caller's array is copied, so the table stays true to the spec
+        assert spec.parent_maps[0].tolist() == [0, 0, 1, 1]
+        assert spec.ancestors.tolist() == [[0, 0], [0, 1], [1, 2], [1, 3]]
 
 
 class TestInitTransition:

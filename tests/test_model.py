@@ -427,7 +427,9 @@ class TestCheckpoint:
                 load_checkpoint(path)
             assert str(path) in str(info.value), cut
 
-    @pytest.mark.parametrize("content", ['{"levels": ', "[]", '{"levels": 3}'])
+    @pytest.mark.parametrize("content", [
+        '{"levels": ', "[]", '{"levels": 3}', '{"levels": 1e400}', '{"levels": -1e400}',
+    ])
     def test_unreadable_sidecar_rejected(self, tmp_path, content):
         state, _ = tiny_state()
         path = tmp_path / "model.seal"
