@@ -27,16 +27,19 @@ print("\nclassifier probability row sums per level:",
 
 # gradient from one head at a time: backward forms each head's gradient
 # over its own and coarser slices only, so finer slices' columns get none.
-# backward returns one gradient per tensor of parameters(state), in its
-# order: weight matrices (the projection last), biases, prototypes
+# backward takes one score and one slice gradient per level; a silent head
+# or slice gets zeros. It returns one gradient per tensor of
+# parameters(state), in its order: weight matrices (the projection last),
+# biases, prototypes
+no_slices = [np.zeros_like(z) for z in trace.z_slices]
 bounds = state.slice_bounds
 d_projection = len(state.weights) - 1
 rng = np.random.default_rng(2)
 print("\nmax |grad| into each slice's projection columns, per head:")
 for level in (1, 2, 3):
-    d_scores = [None, None, None]
+    d_scores = [np.zeros_like(s) for s in trace.scores]
     d_scores[level - 1] = rng.standard_normal(trace.scores[level - 1].shape)
-    grads = backward(state, trace, d_scores=d_scores)
+    grads = backward(state, trace, d_scores, no_slices)
     per_slice = [
         float(np.abs(grads[d_projection][:, bounds[k] : bounds[k + 1]]).max())
         for k in range(state.levels)
@@ -45,7 +48,7 @@ for level in (1, 2, 3):
 
 # finite-difference check of the finest head (it blocks no slice)
 upstream = np.random.default_rng(3).standard_normal(trace.scores[2].shape)
-grads = backward(state, trace, d_scores=[None, None, upstream])
+grads = backward(state, trace, [np.zeros_like(s) for s in trace.scores[:2]] + [upstream], no_slices)
 w = state.weights[0]
 i, j = 2, 3
 step = 1e-6

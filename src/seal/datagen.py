@@ -84,7 +84,7 @@ def _check_label_consistency(labels: np.ndarray, spec: HierarchySpec) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GcdSplit:
     """Index partition into labelled D_l and unlabelled D_u, with the
     known ("old") fine classes and the full class set."""

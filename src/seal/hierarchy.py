@@ -24,7 +24,7 @@ from .errors import DataFormatError, InputError, read_json
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchySpec:
     """An H-level taxonomy: per-level class counts plus parent maps.
 
@@ -34,13 +34,15 @@ class HierarchySpec:
     Optional per-level class names are carried for reporting only.
     ``ancestors`` is the (n_H, H) int64 table built from the parent maps:
     column h - 1 holds each fine class's level-h ancestor, the last column
-    the fine classes themselves. The spec holds both read-only.
+    the fine classes themselves. The spec holds both read-only, and a
+    pickle or copy rebuilds it through the checks. Specs compare by
+    identity.
     """
 
     counts: tuple[int, ...]
     parent_maps: tuple[np.ndarray, ...] = ()
-    names: tuple[tuple[str, ...], ...] | None = field(default=None, compare=False)
-    ancestors: np.ndarray = field(init=False, repr=False, compare=False)
+    names: tuple[tuple[str, ...], ...] | None = None
+    ancestors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
@@ -72,6 +74,9 @@ class HierarchySpec:
         for table in (*maps, ancestors):  # the table is built once from these copies
             table.flags.writeable = False
         object.__setattr__(self, "ancestors", ancestors)
+
+    def __reduce__(self):
+        return HierarchySpec, (self.counts, self.parent_maps, self.names)
 
     @property
     def levels(self) -> int:
@@ -117,7 +122,7 @@ def shuffled_hierarchy(counts, seed: int) -> HierarchySpec:
     return HierarchySpec(counts=counts, parent_maps=tuple(maps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic n_H x n_h map from fine posteriors to pseudo-coarse
     posteriors at ``level``. Rows listed in ``known`` are frozen one-hot."""
@@ -185,8 +190,6 @@ def update_transition(
     """
     if not 0.0 <= momentum <= 1.0:
         raise InputError(f"momentum must be in [0, 1], got {momentum}")
-    coarse_probs = np.asarray(coarse_probs, dtype=np.float64)
-    fine_probs = np.asarray(fine_probs, dtype=np.float64)
     if coarse_probs.ndim != 2 or fine_probs.ndim != 2:
         raise InputError("posteriors must be 2-D (samples x classes)")
     if coarse_probs.shape[0] != fine_probs.shape[0]:

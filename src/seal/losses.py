@@ -88,8 +88,8 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
 def cls_loss(
     probs: np.ndarray,
     pseudo: np.ndarray,
-    labels,
-    labelled_mask,
+    labels: np.ndarray,
+    labelled_mask: np.ndarray,
     cfg: LossConfig,
 ) -> tuple[float, np.ndarray]:
     """Mixed classification loss with entropy regularization.
@@ -98,24 +98,18 @@ def cls_loss(
     (detached) pseudo-label minus entropy_weight times the entropy of
     the mean prediction. Supervised part: mean cross-entropy of the
     labelled rows against their class. The two mix as
-    (1 - balance) * unsup + balance * sup. Returns the loss and its
-    gradient w.r.t. the logits behind ``probs``.
+    (1 - balance) * unsup + balance * sup. ``labelled_mask`` is a bool
+    flag per row and ``labels`` an int class per row, read only where the
+    flag is set. Returns the loss and its gradient w.r.t. the logits
+    behind ``probs``.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    pseudo = np.asarray(pseudo, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] == 0:
         raise InputError("probs must be a non-empty (batch, classes) matrix")
     if pseudo.shape != probs.shape:
         raise InputError(f"pseudo shape {pseudo.shape} does not match probs {probs.shape}")
     batch, _n = probs.shape
-    labelled_mask = (
-        np.zeros(batch, dtype=bool) if labelled_mask is None
-        else np.asarray(labelled_mask, dtype=bool)
-    )
     if labelled_mask.shape != (batch,):
         raise InputError("labelled_mask must be one flag per row")
-    if labelled_mask.any() and labels is None:
-        raise InputError("labelled rows present but labels missing")
 
     log_p = _safe_log(probs)
     unsup_ce = float(-(pseudo * log_p).sum() / batch)
@@ -132,7 +126,6 @@ def cls_loss(
     d_sup = np.zeros_like(probs)
     n_lab = int(labelled_mask.sum())
     if n_lab:
-        labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (batch,):
             raise InputError("labels must be one entry per row")
         rows = np.flatnonzero(labelled_mask)
@@ -156,7 +149,6 @@ def similarity_matrix(features: np.ndarray) -> np.ndarray:
     matrix, symmetrised, with the diagonal pinned to exactly 1. The Gram
     diagonal, read before the pinning, is the unit-row check; a row off
     the sphere is a numeric error."""
-    features = np.asarray(features, dtype=np.float64)
     sims = features @ features.T
     _check_unit_rows(np.diagonal(sims), "similarity matrix")
     sims = 0.5 * (sims + sims.T)
@@ -180,7 +172,6 @@ def soft_labels(fused: np.ndarray, smoothness: float) -> np.ndarray:
     """(1 - smoothness) * I + smoothness * fused."""
     if not 0 <= smoothness <= 1:
         raise InputError(f"smoothness must be in [0, 1], got {smoothness}")
-    fused = np.asarray(fused, dtype=np.float64)
     if fused.ndim != 2 or fused.shape[0] != fused.shape[1]:
         raise InputError("fused similarity must be square")
     return (1.0 - smoothness) * np.eye(fused.shape[0]) + smoothness * fused
@@ -199,9 +190,6 @@ def hscl_loss(
     sqrt(2 - 2 cos). Returns (loss, dZ, dZ'), gradients in the ambient
     space for the encoder's slice-norm backward to project.
     """
-    z = np.asarray(z, dtype=np.float64)
-    z_prime = np.asarray(z_prime, dtype=np.float64)
-    soft = np.asarray(soft, dtype=np.float64)
     batch = z.shape[0]
     if batch < 2:
         raise InputError("contrastive batch needs at least two samples")
@@ -238,33 +226,27 @@ def hscl_loss(
 def supcon_loss(
     z: np.ndarray,
     z_prime: np.ndarray,
-    labels,
-    labelled_mask,
+    labels: np.ndarray,
+    labelled_mask: np.ndarray,
     tau: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-view supervised contrastive loss over the labelled rows.
 
-    Positives for anchor i are all labelled rows sharing its label
-    (including its own other view); the denominator runs over labelled
-    rows m != i. Temperature-scaled dot products, per the baseline form.
-    Returns (loss, dZ, dZ'); both gradients are zero outside labelled
-    rows. No labelled rows yields a zero loss.
+    ``labelled_mask`` is a bool flag per row and ``labels`` an int class
+    per row, read only where the flag is set. Positives for anchor i are
+    all labelled rows sharing its label (including its own other view);
+    the denominator runs over labelled rows m != i. Temperature-scaled dot
+    products, per the baseline form. Returns (loss, dZ, dZ'); both
+    gradients are zero outside labelled rows. Fewer than two labelled rows
+    yield a zero loss.
     """
-    z = np.asarray(z, dtype=np.float64)
-    z_prime = np.asarray(z_prime, dtype=np.float64)
     if z_prime.shape != z.shape:
         raise InputError(f"view shapes differ: {z.shape} vs {z_prime.shape}")
-    batch = z.shape[0]
-    labelled_mask = (
-        np.zeros(batch, dtype=bool) if labelled_mask is None
-        else np.asarray(labelled_mask, dtype=bool)
-    )
     rows = np.flatnonzero(labelled_mask)
     d_z = np.zeros_like(z)
     d_zp = np.zeros_like(z_prime)
     if rows.size < 2:
         return 0.0, d_z, d_zp
-    labels = np.asarray(labels, dtype=np.int64)
     y = labels[rows]
     zs, zps = z[rows], z_prime[rows]
     scores = (zs @ zps.T) / tau
@@ -301,7 +283,6 @@ def cgc_loss(
     ignores the last. Target probabilities are floored at 1e-12 inside
     the log.
     """
-    fine_probs = np.asarray(fine_probs, dtype=np.float64)
     if len(level_probs) != len(transitions):
         raise InputError(
             f"{len(level_probs)} coarse posteriors but {len(transitions)} transitions"
@@ -311,7 +292,6 @@ def cgc_loss(
     d_levels: list[np.ndarray] = []
     d_fine = np.zeros_like(fine_probs)
     for p_h, tm in zip(level_probs, transitions):
-        p_h = np.asarray(p_h, dtype=np.float64)
         if p_h.shape[0] != batch:
             raise InputError("posterior batch sizes differ")
         if p_h.shape[1] != tm.n_coarse or fine_probs.shape[1] != tm.n_fine:

@@ -61,7 +61,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelState:
     """All trainable parameters plus the slice layout and temperatures.
 
@@ -155,7 +155,7 @@ def init_model(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardTrace:
     """Everything the backward pass and the training objective read:
     layer pre-activations, the erf(a / sqrt(2)) of each (which backward
@@ -173,7 +173,7 @@ class ForwardTrace:
     cat_norm: np.ndarray
     z_hat: np.ndarray
     scores: list[np.ndarray]
-    work: np.ndarray = field(repr=False, compare=False)
+    work: np.ndarray = field(repr=False)
 
     @property
     def batch_size(self) -> int:
@@ -307,8 +307,8 @@ def _norm_backward(d_out: np.ndarray, normalized: np.ndarray, norms: np.ndarray)
 def backward(
     state: ModelState,
     trace: ForwardTrace,
-    d_scores: list[np.ndarray | None] | None = None,
-    d_slices: list[np.ndarray | None] | None = None,
+    d_scores: list[np.ndarray],
+    d_slices: list[np.ndarray],
 ) -> list[np.ndarray]:
     """Reverse-mode accumulation honoring the per-level gradient masks;
     returns one gradient per tensor of ``parameters(state)``, in its order.
@@ -316,13 +316,12 @@ def backward(
     d_scores[h-1] is the upstream gradient w.r.t. the level-h cosine
     scores (pre-temperature); d_slices[h-1] is w.r.t. the normalized
     level-h slice (representation losses attach here and bypass the
-    per-head gradient block). Either list may be None or contain Nones.
-    A level without a score gradient gets a zero prototype gradient; no
-    gradient is formed for the input.
+    per-head gradient block). Each list holds one array per level; a
+    silent head or slice takes a zero array, which gives a zero prototype
+    gradient through the same product. No gradient is formed for the
+    input.
     """
     levels = state.levels
-    d_scores = d_scores if d_scores is not None else [None] * levels
-    d_slices = d_slices if d_slices is not None else [None] * levels
     if len(d_scores) != levels or len(d_slices) != levels:
         raise InputError(f"expected {levels} upstream entries per list")
     bounds = state.slice_bounds
@@ -330,10 +329,6 @@ def backward(
     d_protos = []
     d_cat_total = np.zeros_like(trace.z_hat)
     for lvl, d_sc in enumerate(d_scores):
-        if d_sc is None:
-            d_protos.append(np.zeros_like(state.prototypes[lvl]))
-            continue
-        d_sc = np.asarray(d_sc, dtype=np.float64)
         if d_sc.shape != trace.scores[lvl].shape:
             raise InputError(
                 f"level {lvl + 1} score gradient shape {d_sc.shape} does not match "
@@ -351,17 +346,15 @@ def backward(
         ) / trace.cat_norm
 
     d_raw = np.empty_like(trace.z_hat)
-    for lvl in range(levels):
+    for lvl, d_extra in enumerate(d_slices):
         # a view: d_cat_total is not read again
         d_z = d_cat_total[:, bounds[lvl] : bounds[lvl + 1]]
-        if d_slices[lvl] is not None:
-            d_extra = np.asarray(d_slices[lvl], dtype=np.float64)
-            if d_extra.shape != trace.z_slices[lvl].shape:
-                raise InputError(
-                    f"level {lvl + 1} slice gradient shape {d_extra.shape} does not "
-                    f"match {trace.z_slices[lvl].shape}"
-                )
-            d_z += d_extra
+        if d_extra.shape != trace.z_slices[lvl].shape:
+            raise InputError(
+                f"level {lvl + 1} slice gradient shape {d_extra.shape} does not "
+                f"match {trace.z_slices[lvl].shape}"
+            )
+        d_z += d_extra
         d_raw[:, bounds[lvl] : bounds[lvl + 1]] = _norm_backward(
             d_z, trace.z_slices[lvl], trace.slice_norms[lvl]
         )
@@ -472,7 +465,10 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         (ndim,) = struct.unpack("<B", take(1, f"{name} rank"))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"{name} shape"))
         data = take(8 * math.prod(shape), f"{name} data")
-        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # a rank or an empty tensor's dims past numpy's limits
+            raise DataFormatError(f"{path}: {name} has shape {shape} ({exc})") from exc
     try:
         n_layers = 1 + max(
             int(k.split(".")[0][5:]) for k in tensors if k.startswith("layer")

@@ -27,7 +27,7 @@ Z_AXIS, X_AXIS = "Z", "X"
 ZL_AXIS, YL_AXIS, ZU_AXIS, YU_AXIS = "Zl", "Yl", "Zu", "Yu"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """A dense joint distribution over named finite axes."""
 

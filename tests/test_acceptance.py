@@ -86,6 +86,12 @@ def _rel_err(analytic, fd):
     return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12))
 
 
+def _upstream(arrays, live):
+    """One gradient per level for backward: ``live`` maps a level index to
+    its gradient, and every other level gets zeros shaped like ``arrays``."""
+    return [live.get(h, np.zeros_like(a)) for h, a in enumerate(arrays)]
+
+
 def test_criterion_1_gradient_correctness():
     started = time.perf_counter()
     spec = balanced_hierarchy([2, 3, 4])
@@ -111,8 +117,9 @@ def test_criterion_1_gradient_correctness():
 
     probs_a = [softmax(sc / state.tau) for sc in base_a.scores]
     _, d_logits = cls_loss(probs_a[2], pseudo, label_cols[2], mask, cfg)
+    no_slices = _upstream(base_a.z_slices, {})
     analytic = grads_vector(
-        backward(state, base_a, d_scores=[None, None, d_logits / state.tau])
+        backward(state, base_a, _upstream(base_a.scores, {2: d_logits / state.tau}), no_slices)
     )
     worst["cls"] = _rel_err(analytic, _fd(cls_value, state))
 
@@ -126,7 +133,9 @@ def test_criterion_1_gradient_correctness():
         return cls_loss(p, pseudo1, label_cols[0], mask, cfg)[0]
 
     _, d_logits1 = cls_loss(probs_a[0], pseudo1, label_cols[0], mask, cfg)
-    grads1 = backward(state, base_a, d_scores=[d_logits1 / state.tau, None, None])
+    grads1 = backward(
+        state, base_a, _upstream(base_a.scores, {0: d_logits1 / state.tau}), no_slices
+    )
     worst["cls_blocked"] = _rel_err(grads_vector(grads1), _fd(cls1_value, state))
     bounds = state.slice_bounds
     n_weights = len(state.weights)
@@ -147,11 +156,12 @@ def test_criterion_1_gradient_correctness():
         return hscl_loss(za, zb, soft, lam_c)[0]
 
     _, dza, dzb = hscl_loss(base_a.z_slices[1], base_b.z_slices[1], soft, lam_c)
+    no_scores = _upstream(base_a.scores, {})
     g = [
         ga + gb
         for ga, gb in zip(
-            backward(state, base_a, d_slices=[None, dza, None]),
-            backward(state, base_b, d_slices=[None, dzb, None]),
+            backward(state, base_a, no_scores, _upstream(base_a.z_slices, {1: dza})),
+            backward(state, base_b, no_scores, _upstream(base_b.z_slices, {1: dzb})),
         )
     ]
     worst["hscl"] = _rel_err(grads_vector(g), _fd(hscl_value, state))
@@ -168,8 +178,8 @@ def test_criterion_1_gradient_correctness():
     g = [
         ga + gb
         for ga, gb in zip(
-            backward(state, base_a, d_slices=[None, None, dza]),
-            backward(state, base_b, d_slices=[None, None, dzb]),
+            backward(state, base_a, no_scores, _upstream(base_a.z_slices, {2: dza})),
+            backward(state, base_b, no_scores, _upstream(base_b.z_slices, {2: dzb})),
         )
     ]
     worst["supcon"] = _rel_err(grads_vector(g), _fd(supcon_value, state))
@@ -190,7 +200,10 @@ def test_criterion_1_gradient_correctness():
     levels = [consistency_probs(base_a.scores[h], tau_eff) for h in (0, 1)]
     _, d_levels, _ = cgc_loss(levels, fine_frozen, transitions)
     g = backward(
-        state, base_a, d_scores=[d_levels[0] / tau_eff, d_levels[1] / tau_eff, None]
+        state,
+        base_a,
+        _upstream(base_a.scores, {0: d_levels[0] / tau_eff, 1: d_levels[1] / tau_eff}),
+        no_slices,
     )
     worst["cgc"] = _rel_err(grads_vector(g), _fd(cgc_value, state))
 
@@ -205,7 +218,8 @@ def test_criterion_1_gradient_correctness():
     g = backward(
         state,
         base_a,
-        d_scores=[d_levels[0] / tau_eff, d_levels[1] / tau_eff, d_fine / tau_eff],
+        [d_levels[0] / tau_eff, d_levels[1] / tau_eff, d_fine / tau_eff],
+        no_slices,
     )
     worst["cgc_full"] = _rel_err(grads_vector(g), _fd(cgc_full_value, state))
 

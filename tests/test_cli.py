@@ -4,6 +4,7 @@ config validation, and byte-level determinism."""
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -67,10 +68,11 @@ BEYOND_THE_PARSER = pytest.mark.parametrize(
 )
 
 
-def corruptions(full: bytes, seed: int, alphabet: bytes, count: int = 100):
-    """Every truncation of ``full``, then ``count`` copies with one byte
-    substituted, at a seeded position by a seeded byte of ``alphabet``."""
-    yield from (full[:cut] for cut in range(len(full)))
+def corruptions(full: bytes, seed: int, alphabet: bytes, count: int = 100, step: int = 1):
+    """The truncations of ``full`` at every ``step`` bytes, then ``count``
+    copies with one byte substituted, at a seeded position by a seeded
+    byte of ``alphabet``."""
+    yield from (full[:cut] for cut in range(0, len(full), step))
     rng = np.random.default_rng(seed)
     for _ in range(count):
         data = bytearray(full)
@@ -79,6 +81,7 @@ def corruptions(full: bytes, seed: int, alphabet: bytes, count: int = 100):
 
 
 JSON_ALPHABET = b'0123456789.-+e"[]{},: \ntruefalsnl\xff\x00'
+CSV_ALPHABET = b'0123456789.-+e",# \nab\xff\x00'
 
 
 def exit_code_naming(capsys, argv, path) -> int:
@@ -655,8 +658,13 @@ class TestEvalCommand:
         assert not (tmp_path / "proj.csv").exists()
 
 
+    # a version-1 container holding one empty layer0.weight whose dims or
+    # rank numpy cannot hold; the trained run's sidecar stays beside it
+    HAND_BUILT_DIMS = {"tensor dims 0 x 2**63": (0, 2**63), "tensor rank 65": (0,) * 65}
+
     @pytest.mark.parametrize("case", [
         "no features", "no checkpoint", "another width", "sidecar levels 1e400",
+        *HAND_BUILT_DIMS,
     ])
     def test_projection_input_errors_print_no_scores(self, tmp_path, capsys, case):
         from seal.datagen import generate_synthetic, save_features_csv
@@ -683,12 +691,20 @@ class TestEvalCommand:
             sidecar = out / "model.seal.meta.json"
             sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "levels": math.inf})
                                .replace("Infinity", "1e400"))
+        if case in self.HAND_BUILT_DIMS:
+            dims = self.HAND_BUILT_DIMS[case]
+            (out / "model.seal").write_bytes(
+                b"SEAL" + struct.pack("<IIH", 1, 1, 13) + b"layer0.weight"
+                + struct.pack(f"<B{len(dims)}Q", len(dims), *dims)
+            )
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("seal: error: ")
         if case == "sidecar levels 1e400":
             assert f"{out / 'model.seal'}: malformed tensors or metadata" in captured.err
+        if case in self.HAND_BUILT_DIMS:
+            assert f"{out / 'model.seal'}: layer0.weight has shape" in captured.err
         assert not (tmp_path / "proj.csv").exists()
 
 
@@ -971,8 +987,8 @@ class TestEvalCorruption:
         ], files[name])
 
     @pytest.mark.parametrize("name, seed, alphabet", [
-        ("pred", 16, b'0123456789.-+e",# \nab\xff\x00'),
-        ("truth", 16, b'0123456789.-+e",# \nab\xff\x00'),
+        ("pred", 16, CSV_ALPHABET),
+        ("truth", 16, CSV_ALPHABET),
         # a hierarchy that loads but disagrees with a CSV's labels is named
         # beside the CSV
         ("hierarchy", 17, JSON_ALPHABET),
@@ -986,6 +1002,82 @@ class TestEvalCorruption:
             for data in corruptions(full, seed, alphabet)
         }
         assert codes == {0, 1}
+
+
+class TestRunCorruption:
+    """About 40 truncations (every len / 40 bytes) and 60 seeded byte
+    substitutions of each file a tiny run reads or writes, through the
+    command that reads it: the checkpoint and its sidecar through seal
+    eval --dump-projection, metrics.jsonl and final.json through seal
+    report, the features CSV through seal train. Each exits 0, 1 with the
+    file named, or 2; none ends in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        """The bytes of a generated dataset and of the two-epoch run
+        trained on it, by file name."""
+        root = tmp_path_factory.mktemp("tiny")
+        assert main(["generate", "--counts", "2,4", "--per-class", "3", "--dim", "3",
+                     "--seed", "1", "--out", str(root)]) == 0
+        config = self.config(root)
+        assert main(["train", "--config", str(config), "--out", str(root)]) == 0
+        return {
+            name: (root / name).read_bytes()
+            for name in ("features.csv", "hierarchy.json", "model.seal", "model.seal.meta.json",
+                         "metrics.jsonl", "final.json")
+        }
+
+    @staticmethod
+    def config(root):
+        path = root / "config.json"
+        path.write_text(json.dumps({
+            "seed": 3,
+            "data": {"features": str(root / "features.csv"),
+                     "hierarchy": str(root / "hierarchy.json")},
+            "train": {"epochs": 2, "batch_size": 4},
+            "loss": {"soft_smoothness": 0.0},
+            "model": {"hidden": [4], "proj_dim": 4},
+        }))
+        return path
+
+    @pytest.mark.parametrize("name, seed, alphabet", [
+        # seed 31 raises slice_bounds' rank byte from 1 to 10; the dims then
+        # read from its data hold a 0 and one past what numpy can reshape
+        ("model.seal", 31, bytes(range(256))),
+        ("model.seal.meta.json", 30, JSON_ALPHABET),
+        ("metrics.jsonl", 32, JSON_ALPHABET),
+        ("final.json", 33, JSON_ALPHABET),
+        ("features.csv", 34, CSV_ALPHABET),
+    ], ids=["checkpoint", "sidecar", "metrics", "final", "features"])
+    def test_truncation_steps_and_byte_substitutions(self, tmp_path, capsys, originals, name,
+                                                     seed, alphabet):
+        for other, data in originals.items():
+            (tmp_path / other).write_bytes(data)
+        features, checkpoint = tmp_path / "features.csv", tmp_path / "model.seal"
+        if name.startswith("model.seal"):
+            argv = [
+                "eval", "--pred", str(features), "--truth", str(features),
+                "--hierarchy", str(tmp_path / "hierarchy.json"),
+                "--dump-projection", str(tmp_path / "proj.csv"),
+                "--features", str(features), "--checkpoint", str(checkpoint),
+            ]
+            # a field missing from the sidecar is reported against the
+            # checkpoint, whose path the sidecar's extends
+            named = checkpoint
+        elif name == "features.csv":
+            argv = ["train", "--config", str(self.config(tmp_path)), "--out",
+                    str(tmp_path / "out")]
+            named = features
+        else:
+            argv = ["report", "--run", str(tmp_path)]
+            named = tmp_path / name
+        full = originals[name]
+        assert exit_code_naming(capsys, argv, named) == 0
+        codes = set()
+        for data in corruptions(full, seed, alphabet, count=60, step=len(full) // 40):
+            (tmp_path / name).write_bytes(data)
+            codes.add(exit_code_naming(capsys, argv, named))
+        assert 1 in codes
 
 
 class TestConfigCorruption:

@@ -1,10 +1,13 @@
 """Tests for taxonomy specs and dynamic transition matrices."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from seal.datagen import GcdSplit
 from seal.errors import DataFormatError, InputError
 from seal.hierarchy import (
     HierarchySpec,
@@ -17,6 +20,8 @@ from seal.hierarchy import (
     shuffled_hierarchy,
     update_transition,
 )
+from seal.model import forward, init_model
+from seal.theory import DiscreteJoint
 
 
 def random_spec(rng, max_levels=4, max_fine=12):
@@ -130,6 +135,42 @@ class TestFineToLevel:
         parents[0] = 1  # the caller's array is copied, so the table stays true to the spec
         assert spec.parent_maps[0].tolist() == [0, 0, 1, 1]
         assert spec.ancestors.tolist() == [[0, 0], [0, 1], [1, 2], [1, 3]]
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_are_rebuilt_read_only(self, clone):
+        # numpy drops the read-only flag in a pickle or deepcopy of an array,
+        # so the spec is rebuilt from counts, parent maps and names
+        spec = HierarchySpec(
+            counts=(2, 3, 4), parent_maps=(np.array([0, 1, 1]), np.array([0, 1, 2, 2])),
+            names=(("a", "b"), ("c", "d", "e"), ("f", "g", "h", "i")),
+        )
+        twin = clone(spec)
+        assert twin.counts == spec.counts and twin.names == spec.names
+        np.testing.assert_array_equal(twin.ancestors, spec.ancestors)
+        for mine, theirs in zip(twin.parent_maps, spec.parent_maps):
+            np.testing.assert_array_equal(mine, theirs)
+        for table in (twin.ancestors, *twin.parent_maps):
+            assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("name", [
+    "HierarchySpec", "TransitionMatrix", "GcdSplit", "DiscreteJoint", "ModelState", "ForwardTrace",
+])
+def test_array_holders_compare_and_hash_by_identity(name):
+    state = init_model(balanced_hierarchy([2, 4]), in_dim=3, hidden=(4,), proj_dim=4, seed=0)
+    make = {  # two calls give equal-valued instances
+        "HierarchySpec": lambda: balanced_hierarchy([2, 4]),
+        "TransitionMatrix": lambda: TransitionMatrix(level=1, entries=np.eye(2)),
+        "GcdSplit": lambda: GcdSplit(np.array([0]), np.array([1]), {0}, {0, 1}),
+        "DiscreteJoint": lambda: DiscreteJoint(("a",), np.array([0.5, 0.5])),
+        "ModelState": state.copy,
+        "ForwardTrace": lambda: forward(state, np.ones((2, 3))),
+    }[name]
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestInitTransition:

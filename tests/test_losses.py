@@ -49,6 +49,12 @@ def fd_wrt(fn, x, step=1e-6):
     return grad
 
 
+def unlabelled(batch):
+    """Int labels and an all-False bool mask for a batch with no labelled
+    row: the form cls_loss and supcon_loss take for an unsupervised batch."""
+    return np.zeros(batch, dtype=np.int64), np.zeros(batch, dtype=bool)
+
+
 class TestClsLoss:
     def test_uniform_ce_is_log_n(self):
         n = 5
@@ -56,7 +62,7 @@ class TestClsLoss:
         pseudo = np.zeros((3, n))
         pseudo[:, 0] = 1.0
         cfg = LossConfig(balance=0.0, entropy_weight=0.0)
-        loss, _ = cls_loss(probs, pseudo, None, None, cfg)
+        loss, _ = cls_loss(probs, pseudo, *unlabelled(3), cfg)
         assert abs(loss - math.log(n)) < 1e-12
 
     def test_entropy_term_alone(self):
@@ -65,7 +71,7 @@ class TestClsLoss:
         n = 4
         probs = np.eye(n)
         cfg = LossConfig(balance=0.0, entropy_weight=1.0)
-        loss, _ = cls_loss(probs, probs, None, None, cfg)
+        loss, _ = cls_loss(probs, probs, *unlabelled(n), cfg)
         assert abs(loss - (-math.log(n))) < 1e-12
 
     def test_supervised_mixing(self):
@@ -93,12 +99,7 @@ class TestClsLoss:
     def test_empty_batch_rejected(self):
         cfg = LossConfig()
         with pytest.raises(InputError):
-            cls_loss(np.zeros((0, 3)), np.zeros((0, 3)), None, None, cfg)
-
-    def test_labelled_without_labels_rejected(self):
-        cfg = LossConfig()
-        with pytest.raises(InputError):
-            cls_loss(np.full((2, 2), 0.5), np.full((2, 2), 0.5), None, [True, False], cfg)
+            cls_loss(np.zeros((0, 3)), np.zeros((0, 3)), *unlabelled(0), cfg)
 
 
 class TestSimilarityMatrix:
@@ -325,7 +326,7 @@ class TestSupconLoss:
     def test_no_labelled_rows_is_zero(self):
         rng = np.random.default_rng(15)
         z = rng.standard_normal((4, 3))
-        loss, dz, dzp = supcon_loss(z, z, None, None, tau=0.1)
+        loss, dz, dzp = supcon_loss(z, z, *unlabelled(4), tau=0.1)
         assert loss == 0.0 and np.all(dz == 0.0) and np.all(dzp == 0.0)
 
     def test_gradients_match_fd(self):

@@ -73,6 +73,12 @@ def fd_gradient(value_fn, state, step=FD_STEP):
     return grad
 
 
+def silent_upstream(trace):
+    """Zero score and slice gradients, one array per level: the form
+    backward takes for a head or slice that sends no gradient."""
+    return [np.zeros_like(s) for s in trace.scores], [np.zeros_like(z) for z in trace.z_slices]
+
+
 def classifier_probs(state, trace):
     """The classifier's probabilities softmax(scores / tau), per level."""
     return [softmax(s / state.tau) for s in trace.scores]
@@ -153,7 +159,7 @@ def trace_arrays(trace):
     """Every result array of a trace, by field name and list index."""
     out = {}
     for f in dataclasses.fields(trace):
-        if not f.compare:  # the scratch memory holds no result
+        if f.name == "work":  # the scratch memory holds no result
             continue
         value = getattr(trace, f.name)
         for i, a in enumerate(value if isinstance(value, list) else [value]):
@@ -284,8 +290,10 @@ class TestBackward:
         spec = balanced_hierarchy([2, 3, 6])
         state = init_model(spec, in_dim=4, hidden=(5, 7), proj_dim=10, seed=11)
         trace = forward(state, np.random.default_rng(14).standard_normal((6, 4)))
-        upstream = [None, np.ones_like(trace.scores[1]), None]
-        for grads in (backward(state, trace), backward(state, trace, d_scores=upstream)):
+        d_scores, d_slices = silent_upstream(trace)
+        grads_silent = backward(state, trace, d_scores, d_slices)
+        d_scores[1] = np.ones_like(trace.scores[1])
+        for grads in (grads_silent, backward(state, trace, d_scores, d_slices)):
             assert [g.shape for g in grads] == [p.shape for p in parameters(state)]
 
     def test_without_hidden_layers_matches_fd(self):
@@ -295,8 +303,9 @@ class TestBackward:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 4))
         trace = forward(state, x)
-        d_scores = [rng.standard_normal(s.shape) for s in trace.scores]
-        grads = backward(state, trace, d_scores=[None, None, d_scores[2]])
+        d_scores, d_slices = silent_upstream(trace)
+        d_scores[2] = rng.standard_normal(trace.scores[2].shape)
+        grads = backward(state, trace, d_scores, d_slices)
         assert [g.shape for g in grads[: len(state.weights)]] == [(4, 6)]
         fd = fd_gradient(lambda s: float((forward(s, x).scores[2] * d_scores[2]).sum()), state)
         np.testing.assert_allclose(
@@ -306,8 +315,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         state, _ = tiny_state()
         trace = forward(state, np.random.default_rng(6).standard_normal((3, 4)))
-        d_scores = [np.zeros_like(s) for s in trace.scores]
-        grads = backward(state, trace, d_scores=d_scores)
+        grads = backward(state, trace, *silent_upstream(trace))
         assert np.all(grads_vector(grads) == 0.0)
 
     def test_score_gradients_match_fd_at_finest_level(self):
@@ -317,8 +325,9 @@ class TestBackward:
         x = rng.standard_normal((3, 4))
         upstream = rng.standard_normal((3, 6))
         trace = forward(state, x)
-        d_scores = [None, None, upstream]
-        analytic = grads_vector(backward(state, trace, d_scores=d_scores))
+        d_scores, d_slices = silent_upstream(trace)
+        d_scores[2] = upstream
+        analytic = grads_vector(backward(state, trace, d_scores, d_slices))
         fd = fd_gradient(lambda s: float((forward(s, x).scores[2] * upstream).sum()), state)
         np.testing.assert_allclose(analytic, fd, rtol=0, atol=FD_RTOL * max(1.0, np.abs(fd).max()))
 
@@ -328,7 +337,8 @@ class TestBackward:
         x = rng.standard_normal((3, 4))
         upstream = [rng.standard_normal(z.shape) for z in forward(state, x).z_slices]
         trace = forward(state, x)
-        analytic = grads_vector(backward(state, trace, d_slices=upstream))
+        d_scores, _ = silent_upstream(trace)
+        analytic = grads_vector(backward(state, trace, d_scores, upstream))
 
         def value(s):
             t = forward(s, x)
@@ -346,9 +356,9 @@ class TestBackward:
         base_trace = forward(state, x)
         frozen = [z.copy() for z in base_trace.z_slices]
         upstream = rng.standard_normal(base_trace.scores[0].shape)
-        analytic = grads_vector(
-            backward(state, base_trace, d_scores=[upstream, None, None])
-        )
+        d_scores, d_slices = silent_upstream(base_trace)
+        d_scores[0] = upstream
+        analytic = grads_vector(backward(state, base_trace, d_scores, d_slices))
         fd = fd_gradient(
             lambda s: float((frozen_scores(s, x, 1, frozen) * upstream).sum()), state
         )
@@ -362,7 +372,9 @@ class TestBackward:
         x = rng.standard_normal((3, 4))
         trace = forward(state, x)
         upstream = rng.standard_normal(trace.scores[0].shape)
-        grads = backward(state, trace, d_scores=[upstream, None, None])
+        d_scores, d_slices = silent_upstream(trace)
+        d_scores[0] = upstream
+        grads = backward(state, trace, d_scores, d_slices)
         n = len(state.weights)
         d_weights, d_biases, d_protos = grads[:n], grads[n : 2 * n], grads[2 * n :]
         bounds = state.slice_bounds
