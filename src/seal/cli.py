@@ -1,7 +1,7 @@
 """The `seal` command line: generate / train / eval / verify-theory / report.
 
 Heavy imports happen inside the command handlers so that the thread cap
-(--threads, SEAL_THREADS, or --deterministic, which forces one thread)
+(--threads, SEAL_THREADS, or --deterministic, which forces one BLAS thread)
 can be written into the BLAS environment variables before numpy loads.
 Exit codes: 0 success, 1 input or format error, 2 numeric failure.
 """
@@ -32,7 +32,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
     parser.add_argument(
         "--deterministic", action="store_true",
-        help="single-threaded, bit-reproducible mode",
+        help="one BLAS thread, bit-reproducible mode",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,7 +405,10 @@ def _cmd_eval(args) -> int:
 def _dump_projection(args) -> None:
     """PCA the checkpointed model's aggregated features to two columns
     for external plotting: one row per features row, its id as the file
-    gives it and the two coordinates as float reprs."""
+    gives it (CSV-quoted where it needs to be) and the two coordinates
+    as float reprs."""
+    import csv
+
     import numpy as np
 
     from .datagen import load_embeddings, load_labels
@@ -421,14 +424,19 @@ def _dump_projection(args) -> None:
             f"{args.features} has {dataset.dim} feature columns, the checkpoint "
             f"{args.checkpoint} takes {state.in_dim}"
         )
-    trace = forward(state, dataset.features)
+    try:
+        trace = forward(state, dataset.features)
+    except NumericError as exc:
+        raise NumericError(f"checkpoint {args.checkpoint} on {args.features}: {exc}") from exc
     z = trace.z_hat - trace.z_hat.mean(axis=0)
     _, _, vt = np.linalg.svd(z, full_matrices=False)
     proj = z @ vt[:2].T
-    with open(args.dump_projection, "w") as fh:
-        fh.write("id,x,y\n")
+    # ids are free text: the writer quotes one holding a comma or a quote
+    with open(args.dump_projection, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "x", "y"])
         for ident, (x, y) in zip(ids.tolist(), proj.tolist()):
-            fh.write(f"{ident},{x!r},{y!r}\n")
+            writer.writerow([ident, repr(x), repr(y)])
 
 
 def _cmd_verify_theory(args) -> int:

@@ -9,9 +9,9 @@ blocked from flowing into slices finer than h (the pass-through
 controller). Differentiation is manual reverse mode over a recorded
 forward trace, in float64 so finite-difference checks are meaningful;
 the trace keeps each hidden layer's erf so that backward reuses it
-instead of evaluating it again. An inference loop hands forward the
-trace of its previous batch to overwrite, so that a pass allocates no
-batch-sized array.
+instead of evaluating it again. An inference loop hands forward a trace
+made once (``empty_trace``) to overwrite batch after batch, so that a
+pass allocates no batch-sized array.
 """
 
 from __future__ import annotations
@@ -198,8 +198,10 @@ class ForwardTrace:
         return ForwardTrace(**parts)
 
 
-def _empty_trace(state: ModelState, x: np.ndarray) -> ForwardTrace:
-    """A trace for batch x with every array allocated and unfilled."""
+def empty_trace(state: ModelState, x: np.ndarray) -> ForwardTrace:
+    """A trace for batch x with every array allocated and unfilled, for
+    ``forward(..., out=)`` to fill with this batch or another of its
+    size."""
     n = x.shape[0]
     hidden = [w.shape[1] for w in state.weights[:-1]]
     widths = np.diff(state.slice_bounds).tolist()
@@ -251,7 +253,7 @@ def forward(state: ModelState, x: np.ndarray, out: ForwardTrace | None = None) -
     if x.shape[1] != state.in_dim:
         raise InputError(f"input dim {x.shape[1]} does not match encoder dim {state.in_dim}")
     if out is None:
-        trace = _empty_trace(state, x)
+        trace = empty_trace(state, x)
     elif out.batch_size != x.shape[0]:
         raise InputError(
             f"the trace to reuse holds {out.batch_size} rows, the batch has {x.shape[0]}"
@@ -429,9 +431,9 @@ def save_checkpoint(path, state: ModelState, meta: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[ModelState, dict]:
     """Read a checkpoint written by save_checkpoint; returns
     (state, sidecar metadata). A truncated container, a sidecar that is
-    not JSON, tensors whose shapes do not chain, or a sidecar whose
-    levels, in_dim or proj_dim differ from what the tensors give is a
-    DataFormatError naming the file."""
+    not JSON or lacks a field, tensors whose shapes do not chain, or a
+    sidecar whose levels, in_dim or proj_dim differ from what the tensors
+    give is a DataFormatError naming the file at fault."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".meta.json")
     if not path.exists():
@@ -439,6 +441,13 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     if not sidecar_path.exists():
         raise DataFormatError(f"{sidecar_path}: missing metadata sidecar")
     meta = read_json(sidecar_path)
+    try:
+        tau, tau_sharp = float(meta["tau"]), float(meta["tau_sharp"])
+        claimed = {field: meta[field] for field in ("levels", "in_dim", "proj_dim")}
+    except KeyError as exc:
+        raise DataFormatError(f"{sidecar_path}: missing metadata field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{sidecar_path}: malformed metadata ({exc})") from exc
     blob = memoryview(path.read_bytes())
     if blob[:4] != _MAGIC:
         raise DataFormatError(f"{path}: bad magic bytes")
@@ -476,14 +485,12 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         weights = [tensors[f"layer{i}.weight"] for i in range(n_layers)]
         biases = [tensors[f"layer{i}.bias"] for i in range(n_layers)]
         bounds = tensors["slice_bounds"]
-        levels = int(meta["levels"])
-        prototypes = [tensors[f"prototypes.{lvl}"] for lvl in range(1, levels + 1)]
-        tau, tau_sharp = float(meta["tau"]), float(meta["tau_sharp"])
-        claimed = {field: meta[field] for field in ("levels", "in_dim", "proj_dim")}
+        # one prototype matrix per slice; the sidecar's levels is checked below
+        prototypes = [tensors[f"prototypes.{lvl}"] for lvl in range(1, bounds.size)]
     except KeyError as exc:
-        raise DataFormatError(f"{path}: missing tensor or metadata field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"{path}: malformed tensors or metadata ({exc})") from exc
+        raise DataFormatError(f"{path}: missing tensor {exc}") from exc
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: malformed tensors ({exc})") from exc
     _check_layout(path, weights, biases, bounds, prototypes)
     implied = {
         "levels": bounds.size - 1, "in_dim": weights[0].shape[0], "proj_dim": int(bounds[-1]),

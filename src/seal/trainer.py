@@ -7,13 +7,17 @@ momentum SGD with ``sgd_step``.
 Randomness is split into three deterministic streams derived from the
 run seed: [seed, 0] for the validation carve-out, [seed, 1] for batch
 composition, [seed, 2] for view noise. Identical seeds and configs give
-identical runs in single-threaded mode.
+identical runs with one BLAS thread; predict_levels' thread split moves
+no bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -27,6 +31,7 @@ from .losses import LossConfig
 from .model import (
     ModelState,
     backward,
+    empty_trace,
     forward,
     init_model,
     parameters,
@@ -184,29 +189,54 @@ def predict_levels(state: ModelState, features: np.ndarray):
     """Argmax class predictions at every level, taken of the raw cosine
     scores (softmax(scores / tau) keeps their order), plus those scores.
 
-    One forward pass per batch of PREDICT_BATCH rows; every batch after
-    the first overwrites the first batch's trace, so a call allocates one
-    trace however many rows it scores. The results go to arrays made once
-    per call, which the caller owns.
+    One forward pass per batch of PREDICT_BATCH rows. Batch i goes to
+    thread i mod T, where T is the smaller of 2, the CPUs this process
+    may run on and the batch count: the calling thread and, when T is 2,
+    one worker that lives for this call only. Each thread overwrites its
+    own trace, both made here before the worker starts, so a call
+    allocates T traces however many rows it scores. Every batch runs the
+    same pass on the same rows into its own rows of the results, so the
+    bits do not depend on T. The results go to arrays made once per
+    call, which the caller owns. A NumericError from either thread
+    propagates as raised.
     """
     n = features.shape[0]
     if n == 0:
         raise InputError("no rows to predict")
     preds = [np.empty(n, dtype=np.intp) for _ in range(state.levels)]
     scores = [np.empty((n, protos.shape[0])) for protos in state.prototypes]
-    first = None
-    for start in range(0, n, PREDICT_BATCH):
-        batch = features[start : start + PREDICT_BATCH]
-        if first is None:
-            trace = first = forward(state, batch)
-        else:
-            # a shorter last batch runs in the leading rows of the first trace
-            trace = forward(state, batch, out=first.head(batch.shape[0]))
-        rows = slice(start, start + batch.shape[0])
-        for lvl in range(state.levels):
-            np.argmax(trace.scores[lvl], axis=1, out=preds[lvl][rows])
-            scores[lvl][rows] = trace.scores[lvl]
+    starts = range(0, n, PREDICT_BATCH)
+    threads = min(2, _usable_cpus(), len(starts))
+    # a thread's first batch is its largest, so its trace fits the rest
+    traces = [empty_trace(state, features[s : s + PREDICT_BATCH]) for s in starts[:threads]]
+
+    def score_share(share):
+        for start in starts[share::threads]:
+            batch = features[start : start + PREDICT_BATCH]
+            # a shorter last batch runs in the leading rows of the trace
+            trace = forward(state, batch, out=traces[share].head(batch.shape[0]))
+            rows = slice(start, start + batch.shape[0])
+            for lvl in range(state.levels):
+                np.argmax(trace.scores[lvl], axis=1, out=preds[lvl][rows])
+                scores[lvl][rows] = trace.scores[lvl]
+
+    if threads == 1:
+        score_share(0)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            # the worker runs in a copy of this thread's context, so numpy's
+            # error state is the caller's in both shares
+            worker = pool.submit(contextvars.copy_context().run, score_share, 1)
+            score_share(0)
+            worker.result()
     return preds, scores
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _refresh_transitions(state, features, transitions, tau_c, momentum):

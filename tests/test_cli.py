@@ -1,6 +1,7 @@
 """Tests for the command-line interface: artifact layout, exit codes,
 config validation, and byte-level determinism."""
 
+import csv
 import json
 import math
 import os
@@ -93,6 +94,40 @@ def exit_code_naming(capsys, argv, path) -> int:
     if code == 1:
         assert err.startswith("seal: error: ") and str(path) in err, err
     return code
+
+
+def tiny_run_config(root):
+    """The train config of a two-epoch run on root's generated dataset."""
+    path = root / "config.json"
+    path.write_text(json.dumps({
+        "seed": 3,
+        "data": {"features": str(root / "features.csv"),
+                 "hierarchy": str(root / "hierarchy.json")},
+        "train": {"epochs": 2, "batch_size": 4},
+        "loss": {"soft_smoothness": 0.0},
+        "model": {"hidden": [4], "proj_dim": 4},
+    }))
+    return path
+
+
+def train_tiny_run(root):
+    """Generate a dataset (counts 2,4, 3 per class, 3 features) into root
+    and train the two-epoch run of ``tiny_run_config`` there."""
+    assert main(["generate", "--counts", "2,4", "--per-class", "3", "--dim", "3",
+                 "--seed", "1", "--out", str(root)]) == 0
+    assert main(["train", "--config", str(tiny_run_config(root)), "--out", str(root)]) == 0
+
+
+def projection_argv(root):
+    """seal eval of root's features against themselves, dumping the
+    projection of root's checkpoint to root / proj.csv."""
+    features = root / "features.csv"
+    return [
+        "eval", "--pred", str(features), "--truth", str(features),
+        "--hierarchy", str(root / "hierarchy.json"),
+        "--dump-projection", str(root / "proj.csv"),
+        "--features", str(features), "--checkpoint", str(root / "model.seal"),
+    ]
 
 
 class TestGenerate:
@@ -702,9 +737,41 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.startswith("seal: error: ")
         if case == "sidecar levels 1e400":
-            assert f"{out / 'model.seal'}: malformed tensors or metadata" in captured.err
+            assert f"{out / 'model.seal.meta.json'}: levels is inf" in captured.err
         if case in self.HAND_BUILT_DIMS:
             assert f"{out / 'model.seal'}: layer0.weight has shape" in captured.err
+        assert not (tmp_path / "proj.csv").exists()
+
+    def test_projection_keeps_an_id_holding_a_comma(self, tmp_path, capsys):
+        train_tiny_run(tmp_path)
+        features = tmp_path / "features.csv"
+        lines = features.read_text().splitlines()
+        lines[1] = '"a,b"' + lines[1][lines[1].index(","):]
+        features.write_text("\n".join(lines) + "\n")
+        assert main(projection_argv(tmp_path)) == 0
+        with open(tmp_path / "proj.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "x", "y"]
+        assert [r[0] for r in rows[1:]] == ["a,b"] + [str(i) for i in range(1, 12)]
+        assert all(len(r) == 3 for r in rows)
+
+    def test_projection_numeric_failure_names_the_checkpoint_and_features(self, tmp_path,
+                                                                          capsys):
+        from seal.model import load_checkpoint, save_checkpoint
+
+        train_tiny_run(tmp_path)
+        checkpoint = tmp_path / "model.seal"
+        state, meta = load_checkpoint(checkpoint)
+        state.weights[0][0, 0] = 1e200
+        save_checkpoint(checkpoint, state, meta)
+        capsys.readouterr()
+        assert main(projection_argv(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"seal: numeric failure: checkpoint {checkpoint} on {tmp_path / 'features.csv'}: "
+            "degenerate norm in slice normalization at level 1\n"
+        )
         assert not (tmp_path / "proj.csv").exists()
 
 
@@ -1017,28 +1084,12 @@ class TestRunCorruption:
         """The bytes of a generated dataset and of the two-epoch run
         trained on it, by file name."""
         root = tmp_path_factory.mktemp("tiny")
-        assert main(["generate", "--counts", "2,4", "--per-class", "3", "--dim", "3",
-                     "--seed", "1", "--out", str(root)]) == 0
-        config = self.config(root)
-        assert main(["train", "--config", str(config), "--out", str(root)]) == 0
+        train_tiny_run(root)
         return {
             name: (root / name).read_bytes()
             for name in ("features.csv", "hierarchy.json", "model.seal", "model.seal.meta.json",
                          "metrics.jsonl", "final.json")
         }
-
-    @staticmethod
-    def config(root):
-        path = root / "config.json"
-        path.write_text(json.dumps({
-            "seed": 3,
-            "data": {"features": str(root / "features.csv"),
-                     "hierarchy": str(root / "hierarchy.json")},
-            "train": {"epochs": 2, "batch_size": 4},
-            "loss": {"soft_smoothness": 0.0},
-            "model": {"hidden": [4], "proj_dim": 4},
-        }))
-        return path
 
     @pytest.mark.parametrize("name, seed, alphabet", [
         # seed 31 raises slice_bounds' rank byte from 1 to 10; the dims then
@@ -1053,24 +1104,14 @@ class TestRunCorruption:
                                                      seed, alphabet):
         for other, data in originals.items():
             (tmp_path / other).write_bytes(data)
-        features, checkpoint = tmp_path / "features.csv", tmp_path / "model.seal"
         if name.startswith("model.seal"):
-            argv = [
-                "eval", "--pred", str(features), "--truth", str(features),
-                "--hierarchy", str(tmp_path / "hierarchy.json"),
-                "--dump-projection", str(tmp_path / "proj.csv"),
-                "--features", str(features), "--checkpoint", str(checkpoint),
-            ]
-            # a field missing from the sidecar is reported against the
-            # checkpoint, whose path the sidecar's extends
-            named = checkpoint
+            argv = projection_argv(tmp_path)
         elif name == "features.csv":
-            argv = ["train", "--config", str(self.config(tmp_path)), "--out",
+            argv = ["train", "--config", str(tiny_run_config(tmp_path)), "--out",
                     str(tmp_path / "out")]
-            named = features
         else:
             argv = ["report", "--run", str(tmp_path)]
-            named = tmp_path / name
+        named = tmp_path / name
         full = originals[name]
         assert exit_code_naming(capsys, argv, named) == 0
         codes = set()

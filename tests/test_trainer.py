@@ -3,10 +3,16 @@ training loop, including the independently-coded single-level oracle
 that the H=1 configuration must reproduce step for step."""
 
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import erf
+
+import seal.trainer as trainer_module
 
 from seal.benchmark import arm_configs, benchmark_dataset
 from seal.datagen import Dataset, generate_synthetic, make_gcd_split
@@ -161,12 +167,31 @@ class TestSamplers:
 
 
 class TestPredictLevels:
-    """predict_levels reuses one trace across its batches and must give
-    what one fresh forward pass per batch gives."""
+    """predict_levels splits its batches between the calling thread and
+    at most one worker, each reusing one trace, and must give what one
+    fresh forward pass per batch gives."""
 
     @staticmethod
     def state():
         return init_model(balanced_hierarchy([2, 6]), in_dim=8, hidden=(16,), proj_dim=10, seed=2)
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        """Let this process run on ``count`` CPUs, as predict_levels sees it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @staticmethod
+    def executor_spy(monkeypatch):
+        """Count the thread pools predict_levels makes."""
+        made = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", Spy)
+        return made
 
     @staticmethod
     def reference(state, features, batch_size=512):
@@ -181,11 +206,20 @@ class TestPredictLevels:
         scores = [np.concatenate([t.scores[lvl] for t in traces]) for lvl in range(state.levels)]
         return preds, scores
 
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1800])
-    def test_matches_a_fresh_forward_per_batch(self, n):
+    # 1025 and 9500 give an odd batch count, 1536 and 1800 an even one;
+    # the short tail of 1025 and 9500 is the caller's, of 1800 the worker's
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 1536, 1800, 9500])
+    def test_matches_a_fresh_forward_per_batch(self, n, monkeypatch):
+        self.cpus(monkeypatch, 2)
         state = self.state()
         features = np.random.default_rng(n).standard_normal((n, 8))
-        preds, scores = predict_levels(state, features)
+        # the two threads trade the interpreter lock as often as it allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            preds, scores = predict_levels(state, features)
+        finally:
+            sys.setswitchinterval(interval)
         ref_preds, ref_scores = self.reference(state, features)
         for got, ref in zip(preds + scores, ref_preds + ref_scores):
             assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -204,6 +238,52 @@ class TestPredictLevels:
     def test_no_rows_rejected(self):
         with pytest.raises(InputError, match="no rows"):
             predict_levels(self.state(), np.zeros((0, 8)))
+
+    def test_numeric_error_in_the_workers_batch_is_raised_as_inline(self, monkeypatch):
+        state = self.state()
+        features = np.random.default_rng(4).standard_normal((1536, 8))
+        features[700] = 1e200  # batch 1, rows 512-1023, is the worker's
+        messages = []
+        for cpus in (2, 1):
+            self.cpus(monkeypatch, cpus)
+            threads = threading.active_count()
+            with pytest.raises(NumericError) as info:
+                predict_levels(state, features)
+            messages.append(str(info.value))
+            assert threading.active_count() == threads
+        assert messages == ["degenerate norm in slice normalization at level 1"] * 2
+
+    def test_the_worker_keeps_the_callers_numpy_error_state(self, monkeypatch):
+        # 1e308 overflows the first matmul; the caller asks numpy to raise
+        state = self.state()
+        features = np.random.default_rng(4).standard_normal((1536, 8))
+        features[700] = 1e308
+        messages = []
+        for cpus in (2, 1):
+            self.cpus(monkeypatch, cpus)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+                predict_levels(state, features)
+            messages.append(str(info.value))
+        assert messages == ["overflow encountered in matmul"] * 2
+
+    @pytest.mark.parametrize("one_cpu", ["affinity", "cpu_count"])
+    def test_one_cpu_starts_no_thread_and_gives_the_same_bits(self, monkeypatch, one_cpu):
+        state = self.state()
+        features = np.random.default_rng(5).standard_normal((1800, 8))
+        made = self.executor_spy(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        split = predict_levels(state, features)
+        assert len(made) == 1 and threading.active_count() == threads
+        if one_cpu == "affinity":
+            self.cpus(monkeypatch, 1)
+        else:  # a platform without an affinity call
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        inline = predict_levels(state, features)
+        assert len(made) == 1
+        for got, ref in zip(inline[0] + inline[1], split[0] + split[1]):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestSgdStep:
