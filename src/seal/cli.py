@@ -408,17 +408,27 @@ def _dump_projection(args) -> None:
     gives it (CSV-quoted where it needs to be) and the two coordinates
     as float reprs."""
     import csv
+    import hashlib
 
     import numpy as np
 
-    from .datagen import load_embeddings, load_labels
+    from .datagen import _load_embeddings_and_ids
     from .model import forward, load_checkpoint
 
     if not args.features or not args.checkpoint:
         raise InputError("--dump-projection needs --features and --checkpoint")
-    state, _ = load_checkpoint(args.checkpoint)
-    spec, dataset = load_embeddings(args.features, args.hierarchy)
-    ids, _ = load_labels(args.features, spec.levels)
+    state, meta = load_checkpoint(args.checkpoint)
+    # the payload is trusted only if it is the one its sidecar describes
+    sidecar = f"{args.checkpoint}.meta.json"
+    if "payload_sha256" not in meta:
+        raise DataFormatError(f"{sidecar}: missing metadata field 'payload_sha256'")
+    digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
+    if meta["payload_sha256"] != digest:
+        raise DataFormatError(
+            f"{args.checkpoint}: payload SHA-256 is {digest}, {sidecar} gives "
+            f"{meta['payload_sha256']!r}"
+        )
+    _, dataset, ids = _load_embeddings_and_ids(args.features, args.hierarchy)
     if dataset.dim != state.in_dim:
         raise InputError(
             f"{args.features} has {dataset.dim} feature columns, the checkpoint "
@@ -435,7 +445,7 @@ def _dump_projection(args) -> None:
     with open(args.dump_projection, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "x", "y"])
-        for ident, (x, y) in zip(ids.tolist(), proj.tolist()):
+        for ident, (x, y) in zip(ids, proj.tolist()):
             writer.writerow([ident, repr(x), repr(y)])
 
 

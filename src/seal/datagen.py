@@ -293,13 +293,19 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
     unknown), then the feature columns. The header is checked on its
     own; the body is then parsed in one numpy pass, each feature equal
     bit for bit to float() of its field. The id is free text and never
-    parsed. '#' starts no comment, a field may be quoted, and empty
+    checked. '#' starts no comment, a field may be quoted, and empty
     lines are skipped. Every error is a DataFormatError naming the file;
     "row N" counts data rows from 0, the index into the returned
     Dataset. Row widths, label and feature values, finiteness, label
     range and parent consistency are all checked; a label the hierarchy
     refuses names the hierarchy file too.
     """
+    return _load_embeddings_and_ids(features_path, hierarchy_path)[:2]
+
+
+def _load_embeddings_and_ids(features_path, hierarchy_path):
+    """load_embeddings' (spec, dataset) and the ids as a list of text in
+    file order, from the same pass."""
     from .hierarchy import load_hierarchy
 
     spec, _known = load_hierarchy(hierarchy_path)
@@ -307,7 +313,7 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
     expected = ["id"] + [f"level_{h}" for h in range(1, spec.levels + 1)]
 
     def row_dtype(header):
-        # the id (zero-width, so never parsed), the labels, the features
+        # the id as text, the labels, the features
         if header[: len(expected)] != expected:
             raise DataFormatError(
                 f"{path}: header must start with {expected}, got {header[: len(expected)]}"
@@ -316,7 +322,7 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
             raise DataFormatError(f"{path}: no feature columns after the label columns")
         dim = len(header) - len(expected)
         return np.dtype([
-            ("id", "U0"), ("labels", np.int64, (spec.levels,)), ("features", np.float64, (dim,))
+            ("id", object), ("labels", np.int64, (spec.levels,)), ("features", np.float64, (dim,))
         ])
 
     _, table = _read_csv(path, row_dtype)
@@ -324,11 +330,12 @@ def load_embeddings(features_path, hierarchy_path) -> tuple[HierarchySpec, Datas
         raise DataFormatError(f"{path}: no data rows")
     features = np.ascontiguousarray(table["features"])
     try:
-        return spec, Dataset(features, np.ascontiguousarray(table["labels"]), spec)
+        dataset = Dataset(features, np.ascontiguousarray(table["labels"]), spec)
     except InputError as exc:  # the Dataset's own checks, named for the file
         # with every feature finite, a label check failed: it read the hierarchy too
         source = f" (hierarchy {hierarchy_path})" if np.isfinite(features).all() else ""
         raise DataFormatError(f"{path}: {exc}{source}") from exc
+    return spec, dataset, table["id"].tolist()
 
 
 def load_labels(path, levels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,10 @@ pass allocates no batch-sized array.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-import struct
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -386,54 +387,66 @@ def renormalize_prototypes(state: ModelState) -> None:
         protos /= norms
 
 
-_MAGIC = b"SEAL"
-_VERSION = 1
+_FORMAT_VERSION = 2
+
+
+def _ints(value, low: int) -> bool:
+    # a list of integers (bools are not), each at least low
+    return type(value) is list and all(type(v) is int and v >= low for v in value)
+
+
+# each sidecar field the loader reads: its test, and what the test asks for
+_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max, "a positive number")
+_WIDTHS = (lambda v: _ints(v, 1), "a list of integers of at least 1")
+_SIDECAR_FIELDS = {
+    "format_version": (lambda v: type(v) is int and v == _FORMAT_VERSION, str(_FORMAT_VERSION)),
+    "in_dim": (lambda v: _ints([v], 1), "an integer of at least 1"),
+    "hidden": _WIDTHS,
+    "slice_bounds": (
+        lambda v: _ints(v, 0) and len(v) > 1 and v[0] == 0 and v == sorted(set(v)),
+        "a list of integers rising strictly from 0",
+    ),
+    "counts": _WIDTHS,
+    "tau": _POSITIVE,
+    "tau_sharp": _POSITIVE,
+}
 
 
 def save_checkpoint(path, state: ModelState, meta: dict | None = None) -> None:
-    """Write the versioned binary container plus its JSON sidecar.
-
-    Layout: magic "SEAL", u32 version, u32 tensor count, then per tensor
-    a u16 name length, utf-8 name, u8 ndim, u64 dims, and little-endian
-    float64 data. Structural metadata (dims, level count, temperatures,
-    seeds) goes to <path>.meta.json.
-    """
+    """Write the tensors of ``parameters(state)`` to ``path`` in that
+    order, as one run of little-endian float64 with no header, and the
+    one record of their shapes to the JSON sidecar <path>.meta.json:
+    format_version, in_dim, hidden, slice_bounds, counts (classes per
+    level), tau, tau_sharp, and payload_sha256 (the hex SHA-256 of the
+    payload). The caller's ``meta`` goes into the sidecar too; where it
+    names one of these fields, the writer's value wins."""
     path = Path(path)
-    tensors: list[tuple[str, np.ndarray]] = []
-    for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        tensors.append((f"layer{i}.weight", w))
-        tensors.append((f"layer{i}.bias", b))
-    tensors.append(("slice_bounds", state.slice_bounds.astype(np.float64)))
-    for lvl, protos in enumerate(state.prototypes, start=1):
-        tensors.append((f"prototypes.{lvl}", protos))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(tensors)))
-        for name, tensor in tensors:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    payload = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in parameters(state))
+    path.write_bytes(payload)
     sidecar = {
-        "format_version": _VERSION,
-        "levels": state.levels,
+        **(meta or {}),
+        "format_version": _FORMAT_VERSION,
         "in_dim": state.in_dim,
-        "proj_dim": state.proj_dim,
+        "hidden": [w.shape[1] for w in state.weights[:-1]],
+        "slice_bounds": state.slice_bounds.tolist(),
+        "counts": [p.shape[0] for p in state.prototypes],
         "tau": state.tau,
         "tau_sharp": state.tau_sharp,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    sidecar.update(meta or {})
     Path(str(path) + ".meta.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict]:
-    """Read a checkpoint written by save_checkpoint; returns
-    (state, sidecar metadata). A truncated container, a sidecar that is
-    not JSON or lacks a field, tensors whose shapes do not chain, or a
-    sidecar whose levels, in_dim or proj_dim differ from what the tensors
-    give is a DataFormatError naming the file at fault."""
+    """Read a checkpoint written by save_checkpoint; returns (state,
+    sidecar fields). The shapes are built from the sidecar, so they
+    chain. A missing or malformed sidecar field is a DataFormatError
+    naming the sidecar and the field; a payload of another size than
+    the shapes need is one naming both files, raised before anything is
+    allocated. Neither the payload's digest nor its finiteness is
+    checked: a caller that compares the loaded tensors itself must be
+    able to load a payload that changed, so the digest check is
+    ``seal eval --checkpoint``'s."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".meta.json")
     if not path.exists():
@@ -441,111 +454,28 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     if not sidecar_path.exists():
         raise DataFormatError(f"{sidecar_path}: missing metadata sidecar")
     meta = read_json(sidecar_path)
-    try:
-        tau, tau_sharp = float(meta["tau"]), float(meta["tau_sharp"])
-        claimed = {field: meta[field] for field in ("levels", "in_dim", "proj_dim")}
-    except KeyError as exc:
-        raise DataFormatError(f"{sidecar_path}: missing metadata field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"{sidecar_path}: malformed metadata ({exc})") from exc
-    blob = memoryview(path.read_bytes())
-    if blob[:4] != _MAGIC:
-        raise DataFormatError(f"{path}: bad magic bytes")
-    pos = 4
-
-    def take(size: int, what: str) -> memoryview:
-        nonlocal pos
-        chunk = blob[pos : pos + size]
-        if len(chunk) != size:
-            raise DataFormatError(f"{path}: truncated {what} at byte {pos}")
-        pos += size
-        return chunk
-
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
-    tensors: dict[str, np.ndarray] = {}
-    for i in range(count):
-        (name_len,) = struct.unpack("<H", take(2, f"tensor {i} name length"))
-        try:
-            name = bytes(take(name_len, f"tensor {i} name")).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: tensor {i} name is not utf-8") from exc
-        (ndim,) = struct.unpack("<B", take(1, f"{name} rank"))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"{name} shape"))
-        data = take(8 * math.prod(shape), f"{name} data")
-        try:
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-        except ValueError as exc:  # a rank or an empty tensor's dims past numpy's limits
-            raise DataFormatError(f"{path}: {name} has shape {shape} ({exc})") from exc
-    try:
-        n_layers = 1 + max(
-            int(k.split(".")[0][5:]) for k in tensors if k.startswith("layer")
-        )
-        weights = [tensors[f"layer{i}.weight"] for i in range(n_layers)]
-        biases = [tensors[f"layer{i}.bias"] for i in range(n_layers)]
-        bounds = tensors["slice_bounds"]
-        # one prototype matrix per slice; the sidecar's levels is checked below
-        prototypes = [tensors[f"prototypes.{lvl}"] for lvl in range(1, bounds.size)]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing tensor {exc}") from exc
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: malformed tensors ({exc})") from exc
-    _check_layout(path, weights, biases, bounds, prototypes)
-    implied = {
-        "levels": bounds.size - 1, "in_dim": weights[0].shape[0], "proj_dim": int(bounds[-1]),
-    }
-    for field, value in implied.items():
-        if claimed[field] != value:
-            raise DataFormatError(
-                f"{sidecar_path}: {field} is {claimed[field]!r}, the tensors of {path} give {value}"
-            )
-    return (
-        ModelState(
-            weights=weights,
-            biases=biases,
-            slice_bounds=bounds.astype(np.int64),
-            prototypes=prototypes,
-            tau=tau,
-            tau_sharp=tau_sharp,
-        ),
-        meta,
-    )
-
-
-def _check_layout(path, weights, biases, bounds, prototypes) -> None:
-    """The tensors of a checkpoint must chain: each layer's weight has as
-    many rows as the previous layer is wide and a bias of its own width,
-    slice_bounds are integers rising strictly from 0 to the projection
-    width, and every prototype matrix is that wide. A mismatch is a
-    DataFormatError naming the file and the tensor."""
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.ndim != 2:
-            raise DataFormatError(f"{path}: layer{i}.weight has shape {w.shape}, expected rank 2")
-        if i and w.shape[0] != weights[i - 1].shape[1]:
-            raise DataFormatError(
-                f"{path}: layer{i}.weight has {w.shape[0]} rows, "
-                f"layer{i - 1}.weight is {weights[i - 1].shape[1]} wide"
-            )
-        if b.shape != (w.shape[1],):
-            raise DataFormatError(
-                f"{path}: layer{i}.bias has shape {b.shape}, expected ({w.shape[1]},)"
-            )
-    width = weights[-1].shape[1]
-    if (
-        bounds.ndim != 1
-        or bounds.size < 2
-        or not np.array_equal(bounds, np.round(bounds))
-        or bounds[0] != 0
-        or np.any(np.diff(bounds) <= 0)
-        or bounds[-1] != width
-    ):
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{sidecar_path}: expected a JSON object")
+    for name, (valid, expected) in _SIDECAR_FIELDS.items():
+        if name not in meta:
+            raise DataFormatError(f"{sidecar_path}: missing metadata field {name!r}")
+        if not valid(meta[name]):
+            raise DataFormatError(f"{sidecar_path}: {name} is {meta[name]!r}, expected {expected}")
+    bounds, counts = meta["slice_bounds"], meta["counts"]
+    if len(counts) != len(bounds) - 1:
         raise DataFormatError(
-            f"{path}: slice_bounds {bounds.tolist()} must be integers rising strictly "
-            f"from 0 to the projection width {width}"
+            f"{sidecar_path}: counts has {len(counts)} entries for {len(bounds) - 1} slices"
         )
-    for lvl, protos in enumerate(prototypes, start=1):
-        if protos.ndim != 2 or protos.shape[1] != width:
-            raise DataFormatError(
-                f"{path}: prototypes.{lvl} has shape {protos.shape}, expected {width} columns"
-            )
+    dims = [meta["in_dim"], *meta["hidden"], bounds[-1]]
+    shapes = [*zip(dims, dims[1:]), *((d,) for d in dims[1:]), *((n, dims[-1]) for n in counts)]
+    sizes = [math.prod(shape) for shape in shapes]
+    need, size = 8 * sum(sizes), path.stat().st_size
+    if size != need:
+        raise DataFormatError(f"{path}: {size} bytes, the shapes in {sidecar_path} need {need}")
+    parts = np.split(np.fromfile(path, dtype="<f8"), np.cumsum(sizes)[:-1])
+    tensors = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    n = len(dims) - 1
+    weights, biases, prototypes = tensors[:n], tensors[n : 2 * n], tensors[2 * n :]
+    state = ModelState(weights, biases, np.array(bounds, dtype=np.int64), prototypes,
+                       float(meta["tau"]), float(meta["tau_sharp"]))
+    return state, meta

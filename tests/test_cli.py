@@ -5,7 +5,6 @@ import csv
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -693,13 +692,15 @@ class TestEvalCommand:
         assert not (tmp_path / "proj.csv").exists()
 
 
-    # a version-1 container holding one empty layer0.weight whose dims or
-    # rank numpy cannot hold; the trained run's sidecar stays beside it
-    HAND_BUILT_DIMS = {"tensor dims 0 x 2**63": (0, 2**63), "tensor rank 65": (0,) * 65}
+    # sidecar edits of the trained run: counts the JSON parser reads as
+    # infinity, and a hidden width whose shapes need more bytes than exist
+    SIDECAR_EDITS = {
+        "sidecar counts 1e400": {"counts": [math.inf]},
+        "sidecar hidden 2**63": {"hidden": [2**63]},
+    }
 
     @pytest.mark.parametrize("case", [
-        "no features", "no checkpoint", "another width", "sidecar levels 1e400",
-        *HAND_BUILT_DIMS,
+        "no features", "no checkpoint", "another width", *SIDECAR_EDITS,
     ])
     def test_projection_input_errors_print_no_scores(self, tmp_path, capsys, case):
         from seal.datagen import generate_synthetic, save_features_csv
@@ -722,24 +723,19 @@ class TestEvalCommand:
             args += ["--features", str(tmp_path / "feats.csv")]
         if case != "no checkpoint":
             args += ["--checkpoint", str(out / "model.seal")]
-        if case == "sidecar levels 1e400":  # json reads infinity, which int() cannot take
-            sidecar = out / "model.seal.meta.json"
-            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "levels": math.inf})
+        sidecar = out / "model.seal.meta.json"
+        if case in self.SIDECAR_EDITS:
+            edit = self.SIDECAR_EDITS[case]
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit})
                                .replace("Infinity", "1e400"))
-        if case in self.HAND_BUILT_DIMS:
-            dims = self.HAND_BUILT_DIMS[case]
-            (out / "model.seal").write_bytes(
-                b"SEAL" + struct.pack("<IIH", 1, 1, 13) + b"layer0.weight"
-                + struct.pack(f"<B{len(dims)}Q", len(dims), *dims)
-            )
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("seal: error: ")
-        if case == "sidecar levels 1e400":
-            assert f"{out / 'model.seal.meta.json'}: levels is inf" in captured.err
-        if case in self.HAND_BUILT_DIMS:
-            assert f"{out / 'model.seal'}: layer0.weight has shape" in captured.err
+        if case == "sidecar counts 1e400":
+            assert f"{sidecar}: counts is [inf], expected" in captured.err
+        if case == "sidecar hidden 2**63":  # refused from the file size, before any allocation
+            assert f"{out / 'model.seal'}: 1152 bytes, the shapes in {sidecar} need " in captured.err
         assert not (tmp_path / "proj.csv").exists()
 
     def test_projection_keeps_an_id_holding_a_comma(self, tmp_path, capsys):
@@ -773,6 +769,57 @@ class TestEvalCommand:
             "degenerate norm in slice normalization at level 1\n"
         )
         assert not (tmp_path / "proj.csv").exists()
+
+    def test_projection_of_a_changed_payload_names_the_checkpoint(self, tmp_path, capsys):
+        # model.load_checkpoint loads the flipped file; the command does not use it
+        train_tiny_run(tmp_path)
+        checkpoint = tmp_path / "model.seal"
+        blob = bytearray(checkpoint.read_bytes())
+        blob[-1] ^= 0x01
+        checkpoint.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(projection_argv(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"seal: error: {checkpoint}: payload SHA-256 is ")
+        assert f"{checkpoint}.meta.json gives '" in captured.err
+        assert not (tmp_path / "proj.csv").exists()
+
+    def test_projection_without_a_payload_digest_names_the_sidecar(self, tmp_path, capsys):
+        train_tiny_run(tmp_path)
+        sidecar = tmp_path / "model.seal.meta.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["payload_sha256"]
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(projection_argv(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"seal: error: {sidecar}: missing metadata field 'payload_sha256'\n"
+        )
+        assert not (tmp_path / "proj.csv").exists()
+
+    def test_projection_parses_the_features_once(self, tmp_path, capsys, monkeypatch):
+        from seal import datagen
+
+        train_tiny_run(tmp_path)
+        features = tmp_path / "features.csv"
+        argv = projection_argv(tmp_path)
+        # predictions and truth from copies, so that only the projection reads features.csv
+        for flag in ("--pred", "--truth"):
+            copy = tmp_path / f"{flag[2:]}.csv"
+            copy.write_bytes(features.read_bytes())
+            argv[argv.index(flag) + 1] = str(copy)
+        parsed = []
+        read_csv = datagen._read_csv
+
+        def counting_read_csv(path, row_dtype):
+            parsed.append(path)
+            return read_csv(path, row_dtype)
+
+        monkeypatch.setattr(datagen, "_read_csv", counting_read_csv)
+        assert main(argv) == 0
+        assert parsed.count(features) == 1
+        assert len((tmp_path / "proj.csv").read_text().splitlines()) == 13
 
 
 class TestVerifyTheory:
@@ -1077,7 +1124,8 @@ class TestRunCorruption:
     command that reads it: the checkpoint and its sidecar through seal
     eval --dump-projection, metrics.jsonl and final.json through seal
     report, the features CSV through seal train. Each exits 0, 1 with the
-    file named, or 2; none ends in a traceback."""
+    file named, or 2; none ends in a traceback. A checkpoint with any byte
+    changed or cut is exit 1."""
 
     @pytest.fixture(scope="class")
     def originals(self, tmp_path_factory):
@@ -1092,8 +1140,8 @@ class TestRunCorruption:
         }
 
     @pytest.mark.parametrize("name, seed, alphabet", [
-        # seed 31 raises slice_bounds' rank byte from 1 to 10; the dims then
-        # read from its data hold a 0 and one past what numpy can reshape
+        # a checkpoint is raw float64 with no header, so any changed byte
+        # loads; the command refuses it by the sidecar's payload_sha256
         ("model.seal", 31, bytes(range(256))),
         ("model.seal.meta.json", 30, JSON_ALPHABET),
         ("metrics.jsonl", 32, JSON_ALPHABET),
@@ -1117,7 +1165,10 @@ class TestRunCorruption:
         codes = set()
         for data in corruptions(full, seed, alphabet, count=60, step=len(full) // 40):
             (tmp_path / name).write_bytes(data)
-            codes.add(exit_code_naming(capsys, argv, named))
+            code = exit_code_naming(capsys, argv, named)
+            # every change to a checkpoint's bytes is refused
+            assert code == 1 or name != "model.seal" or data == full
+            codes.add(code)
         assert 1 in codes
 
 

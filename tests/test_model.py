@@ -1,8 +1,9 @@
 """Tests for the sliced encoder: forward semantics, manual backprop
 against central finite differences, gradient-mask behaviour, and the
-checkpoint container."""
+checkpoint file and its sidecar."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -27,6 +28,9 @@ from seal.model import (
 )
 
 from objective_reference import frozen_scores, grads_vector
+
+# the fields of a checkpoint sidecar that the loader reads
+SIDECAR_FIELDS = ["format_version", "in_dim", "hidden", "slice_bounds", "counts", "tau", "tau_sharp"]
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
@@ -413,20 +417,32 @@ class TestCheckpoint:
         save_checkpoint(path, state, meta={"seed": 13})
         loaded, meta = load_checkpoint(path)
         assert meta["seed"] == 13
-        assert meta["levels"] == 3
-        for a, b in zip(state.weights, loaded.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(state.prototypes, loaded.prototypes):
+        assert meta["counts"] == [2, 3, 6]
+        for a, b in zip(parameters(state), parameters(loaded), strict=True):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(state.slice_bounds, loaded.slice_bounds)
         assert loaded.tau == state.tau and loaded.tau_sharp == state.tau_sharp
 
-    def test_bad_magic_rejected(self, tmp_path):
+    def test_file_is_the_parameters_as_little_endian_float64(self, tmp_path):
+        state, _ = tiny_state(seed=13)
         path = tmp_path / "model.seal"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        (tmp_path / "model.seal.meta.json").write_text("{}")
-        with pytest.raises(DataFormatError, match="magic"):
-            load_checkpoint(path)
+        save_checkpoint(path, state)
+        payload = b"".join(t.astype("<f8").tobytes() for t in parameters(state))
+        assert path.read_bytes() == payload
+        meta = json.loads((tmp_path / "model.seal.meta.json").read_text())
+        assert meta == {
+            "format_version": 2, "in_dim": 4, "hidden": [5], "slice_bounds": [0, 2, 4, 6],
+            "counts": [2, 3, 6], "tau": state.tau, "tau_sharp": state.tau_sharp,
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+
+    def test_writer_fields_win_over_the_callers_meta(self, tmp_path):
+        state, _ = tiny_state()
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state, meta={"in_dim": 99, "payload_sha256": "stale", "seed": 5})
+        loaded, meta = load_checkpoint(path)
+        assert meta["in_dim"] == loaded.in_dim == 4 and meta["seed"] == 5
+        assert meta["payload_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_every_truncation_is_a_format_error(self, tmp_path):
         state, _ = tiny_state()
@@ -476,40 +492,85 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "tensor,tamper",
+        "named,tamper",
         [
-            ("layer1.weight", lambda st: st.weights.__setitem__(1, st.weights[1][:-1])),
-            ("layer0.bias", lambda st: st.biases.__setitem__(0, st.biases[0][:-1])),
+            ("size", lambda st: st.weights.__setitem__(1, st.weights[1][:-1])),
+            ("size", lambda st: st.biases.__setitem__(0, st.biases[0][:-1])),
             ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([1, 2, 4, 6]))),
             ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([0, 4, 2, 6]))),
-            ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([0, 2, 4, 5]))),
-            ("prototypes.2", lambda st: st.prototypes.__setitem__(1, st.prototypes[1][:, :5])),
+            ("size", lambda st: setattr(st, "slice_bounds", np.array([0, 2, 4, 5]))),
+            ("size", lambda st: st.prototypes.__setitem__(1, st.prototypes[1][:, :5])),
         ],
         ids=["weight rows", "bias width", "bounds start", "bounds rise", "bounds end",
              "prototype width"],
     )
-    def test_tensors_that_do_not_chain_rejected(self, tmp_path, tensor, tamper):
+    def test_tensors_that_do_not_chain_rejected(self, tmp_path, named, tamper):
+        # the sidecar describes the shapes a model's tensors must have: a
+        # tensor of another shape leaves the payload another size
         state, _ = tiny_state()
         tamper(state)
         path = tmp_path / "model.seal"
         save_checkpoint(path, state)
         with pytest.raises(DataFormatError) as info:
             load_checkpoint(path)
-        assert str(info.value).startswith(f"{path}: {tensor} ")
+        sidecar = tmp_path / "model.seal.meta.json"
+        if named == "size":
+            assert str(info.value).startswith(f"{path}: ")
+            assert f"the shapes in {sidecar} need" in str(info.value)
+        else:
+            assert str(info.value).startswith(f"{sidecar}: slice_bounds is ")
 
-    @pytest.mark.parametrize("field,value", [("levels", 2), ("in_dim", 5), ("proj_dim", 8)])
-    def test_sidecar_disagreeing_with_tensors_rejected(self, tmp_path, field, value):
+    @pytest.mark.parametrize("edit,need", [
+        ({"counts": [2, 3], "slice_bounds": [0, 3, 6]}, 728),
+        ({"in_dim": 5}, 1056),
+        ({"slice_bounds": [0, 2, 4, 8]}, 1288),
+    ], ids=["levels-2", "in_dim-5", "proj_dim-8"])
+    def test_sidecar_disagreeing_with_tensors_rejected(self, tmp_path, edit, need):
+        # shapes that need another byte count than the payload holds name both files
+        state, _ = tiny_state()
+        path = tmp_path / "model.seal"
+        save_checkpoint(path, state)
+        sidecar = tmp_path / "model.seal.meta.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: 1016 bytes, the shapes in {sidecar} need {need}"
+
+    @pytest.mark.parametrize("field,value,message", [
+        *[(f, None, f"missing metadata field {f!r}") for f in SIDECAR_FIELDS],
+        ("format_version", 1, "format_version is 1, expected 2"),
+        ("in_dim", True, "in_dim is True, expected an integer of at least 1"),
+        ("in_dim", 4.0, "in_dim is 4.0, expected an integer of at least 1"),
+        ("in_dim", 0, "in_dim is 0, expected an integer of at least 1"),
+        ("hidden", [-5], "hidden is [-5], expected a list of integers of at least 1"),
+        ("hidden", 5, "hidden is 5, expected a list of integers of at least 1"),
+        ("counts", [2, 3.0, 6], "counts is [2, 3.0, 6], expected a list of integers of at"),
+        ("counts", [2, 3], "counts has 2 entries for 3 slices"),
+        ("slice_bounds", [1, 2, 4, 6], "slice_bounds is [1, 2, 4, 6], expected a list of "
+                                       "integers rising strictly from 0"),
+        ("slice_bounds", [0, 4, 2, 6], "slice_bounds is [0, 4, 2, 6], expected"),
+        ("slice_bounds", [0, 2, 2, 6], "slice_bounds is [0, 2, 2, 6], expected"),
+        ("slice_bounds", [0], "slice_bounds is [0], expected"),
+        ("slice_bounds", [False, 2, 4, 6], "slice_bounds is [False, 2, 4, 6], expected"),
+        ("tau", -0.1, "tau is -0.1, expected a positive number"),
+        ("tau_sharp", "0.07", "tau_sharp is '0.07', expected a positive number"),
+        ("tau", True, "tau is True, expected a positive number"),
+    ])
+    def test_malformed_sidecar_field_names_the_sidecar_and_field(self, tmp_path, field, value,
+                                                                 message):
         state, _ = tiny_state()
         path = tmp_path / "model.seal"
         save_checkpoint(path, state)
         sidecar = tmp_path / "model.seal.meta.json"
         meta = json.loads(sidecar.read_text())
-        meta[field] = value
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(DataFormatError) as info:
             load_checkpoint(path)
-        assert str(info.value).startswith(f"{sidecar}: {field} is {value}")
-        assert str(path) in str(info.value)
+        assert str(info.value).startswith(f"{sidecar}: {message}")
 
     def test_non_utf8_sidecar_rejected(self, tmp_path):
         state, _ = tiny_state()
