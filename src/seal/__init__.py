@@ -10,6 +10,8 @@ import-light so the CLI can pin BLAS threading before numpy loads):
     seal.trainer     the summed training objective, the loop, run records
     seal.evaluation  Hungarian-matched clustering accuracy and diagnostics
     seal.theory      exact information-theoretic checks on discrete joints
+    seal.benchmark   the frozen benchmark dataset and its comparison arms
+    seal.errors      the exception types, the JSON reader and its type rule
     seal.cli         the `seal` command-line entry point
 """
 
@@ -17,4 +19,7 @@ from .errors import DataFormatError, InputError, NumericError
 
 __version__ = "0.1.0"
 
-__all__ = ["DataFormatError", "InputError", "NumericError", "__version__"]
+# the thread-count variables of the BLAS builds numpy may load, read when numpy is imported
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+__all__ = ["BLAS_THREAD_VARS", "DataFormatError", "InputError", "NumericError", "__version__"]

@@ -81,20 +81,11 @@ def arm_configs(arm: str, seed: int, epochs: int | None = None):
     return hierarchy, train_cfg, loss_cfg, model_cfg
 
 
-def run_arm(
-    arm: str,
-    seed: int,
-    epochs: int | None = None,
-    data=None,
-) -> tuple[dict, RunRecord]:
-    """Train one arm at one seed; returns (final metrics, full record).
-
-    ``data`` may carry a prebuilt (spec, dataset, split) triple so that
-    multi-seed studies reuse one dataset.
-    """
-    spec, dataset, split = data if data is not None else benchmark_dataset()
+def run_arm(arm: str, seed: int, epochs: int | None = None) -> tuple[dict, RunRecord]:
+    """Train one arm at one seed on the frozen dataset; returns (final
+    metrics, full record)."""
+    _, dataset, split = benchmark_dataset()
     hierarchy, train_cfg, loss_cfg, model_cfg = arm_configs(arm, seed, epochs)
-    del spec
     _, record = train(dataset, split, hierarchy, seed, train_cfg, loss_cfg, model_cfg)
     return record.final, record
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import DataFormatError, InputError, NumericError, parse_json, read_json
+from . import BLAS_THREAD_VARS
+from .errors import (
+    DataFormatError, InputError, NumericError, parse_json, read_json, type_name, type_ok,
+)
 
 
 class _UsageError(Exception):
@@ -84,7 +86,7 @@ def _pin_threads(args) -> None:
     if threads is not None:
         if threads < 1:
             raise InputError(f"thread count must be positive, got {threads}")
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in BLAS_THREAD_VARS:
             os.environ[var] = str(threads)
 
 
@@ -175,39 +177,6 @@ _DATA_TYPES = {
 _AT_LEAST = {"seed": 0, "data.split_seed": 0, "data.synthetic.seed": 0, "model.hidden": 1}
 
 
-def _type_ok(value, expected) -> bool:
-    """Whether a parsed JSON value fits an annotation: no bool for a
-    number, a finite int or float for a float, a list for a sequence or
-    tuple type."""
-    import types
-    import typing
-
-    if isinstance(expected, types.UnionType):
-        return any(_type_ok(value, t) for t in typing.get_args(expected))
-    if expected is type(None):
-        return value is None
-    if expected is bool:
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if expected is float:
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:  # an int past the float range
-            return False
-    origin = typing.get_origin(expected)
-    if origin is not None:
-        item = typing.get_args(expected)[0]
-        return isinstance(value, list) and all(_type_ok(v, item) for v in value)
-    return isinstance(value, expected)
-
-
-def _type_name(expected) -> str:
-    if expected is dict:
-        return "a JSON object"
-    return expected.__name__ if isinstance(expected, type) else str(expected)
-
-
 def _check_section(section, types: dict, path, name: str = "") -> None:
     """A JSON object whose keys are all known and whose values fit their
     types; anything else is an InputError naming path:name.key."""
@@ -219,10 +188,10 @@ def _check_section(section, types: dict, path, name: str = "") -> None:
         prefix = f"{where}." if name else f"{path}:"
         raise InputError(", ".join(prefix + key for key in unknown) + ": unknown key(s)")
     for key, value in section.items():
-        if not _type_ok(value, types[key]):
+        if not type_ok(value, types[key]):
             field = f"{name}.{key}" if name else key
             raise InputError(
-                f"{path}:{field}: expected {_type_name(types[key])}, got {json.dumps(value)}"
+                f"{path}:{field}: expected {type_name(types[key])}, got {json.dumps(value)}"
             )
 
 
@@ -406,14 +375,16 @@ def _dump_projection(args) -> None:
     """PCA the checkpointed model's aggregated features to two columns
     for external plotting: one row per features row, its id as the file
     gives it (CSV-quoted where it needs to be) and the two coordinates
-    as float reprs."""
+    as float reprs. The encoder runs in PREDICT_BATCH-row batches through
+    one reused trace, so its scratch memory does not grow with the file."""
     import csv
     import hashlib
 
     import numpy as np
 
     from .datagen import _load_embeddings_and_ids
-    from .model import forward, load_checkpoint
+    from .model import empty_trace, forward, load_checkpoint
+    from .trainer import PREDICT_BATCH
 
     if not args.features or not args.checkpoint:
         raise InputError("--dump-projection needs --features and --checkpoint")
@@ -434,11 +405,19 @@ def _dump_projection(args) -> None:
             f"{args.features} has {dataset.dim} feature columns, the checkpoint "
             f"{args.checkpoint} takes {state.in_dim}"
         )
+    features = dataset.features
+    z = np.empty((features.shape[0], state.proj_dim))
+    trace = empty_trace(state, features[:PREDICT_BATCH])
     try:
-        trace = forward(state, dataset.features)
+        for start in range(0, features.shape[0], PREDICT_BATCH):
+            batch = features[start : start + PREDICT_BATCH]
+            # a shorter last batch runs in the leading rows of the trace
+            z[start : start + batch.shape[0]] = forward(
+                state, batch, out=trace.head(batch.shape[0])
+            ).z_hat
     except NumericError as exc:
         raise NumericError(f"checkpoint {args.checkpoint} on {args.features}: {exc}") from exc
-    z = trace.z_hat - trace.z_hat.mean(axis=0)
+    z -= z.mean(axis=0)
     _, _, vt = np.linalg.svd(z, full_matrices=False)
     proj = z @ vt[:2].T
     # ids are free text: the writer quotes one holding a comma or a quote

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, InputError, read_json
+from .errors import DataFormatError, InputError, read_json, type_ok
 
 ROW_SUM_TOL = 1e-9
 
@@ -227,15 +227,13 @@ def load_hierarchy(path) -> tuple[HierarchySpec, frozenset[int]]:
         raise DataFormatError(f"{path}: missing required key 'counts'")
     counts, parents = doc["counts"], doc.get("parents", [])
     known, names = doc.get("known", []), doc.get("names")
-    is_int, is_str = (lambda v: type(v) is int), (lambda v: isinstance(v, str))
-    for key, ok, kind in (
-        ("counts", _list_of(counts, is_int), "a list of integers"),
-        ("parents", _list_of(parents, lambda m: _list_of(m, is_int)), "a list of integer lists"),
-        ("known", _list_of(known, is_int), "a list of integers"),
-        ("names", names is None or _list_of(names, lambda lvl: _list_of(lvl, is_str)),
-         "a list of string lists"),
+    for key, value, expected, kind in (
+        ("counts", counts, list[int], "a list of integers"),
+        ("parents", parents, list[list[int]], "a list of integer lists"),
+        ("known", known, list[int], "a list of integers"),
+        ("names", names, list[list[str]] | None, "a list of string lists"),
     ):
-        if not ok:
+        if not type_ok(value, expected):
             raise DataFormatError(f"{path}: {key!r} must be {kind}")
     if names is not None:
         names = tuple(tuple(lvl) for lvl in names)
@@ -251,11 +249,6 @@ def load_hierarchy(path) -> tuple[HierarchySpec, frozenset[int]]:
     if known and (min(known) < 0 or max(known) >= spec.num_fine):
         raise DataFormatError(f"{path}: 'known' index outside [0, {spec.num_fine})")
     return spec, known
-
-
-def _list_of(value, item_ok) -> bool:
-    """A JSON list whose every item passes ``item_ok``."""
-    return isinstance(value, list) and all(item_ok(v) for v in value)
 
 
 def save_hierarchy(path, spec: HierarchySpec, known=frozenset()) -> None:

@@ -177,6 +177,18 @@ def soft_labels(fused: np.ndarray, smoothness: float) -> np.ndarray:
     return (1.0 - smoothness) * np.eye(fused.shape[0]) + smoothness * fused
 
 
+def _off_diagonal_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exp and row softmax of a square matrix over its entries
+    off the diagonal, where a contrastive denominator leaves out the
+    anchor's pair with itself: (lse, softmax). One row sum serves both."""
+    masked = logits.copy()
+    np.fill_diagonal(masked, -np.inf)
+    row_max = masked.max(axis=1, keepdims=True)
+    exp_shift = np.exp(masked - row_max)
+    row_sum = exp_shift.sum(axis=1, keepdims=True)
+    return row_max[:, 0] + np.log(row_sum[:, 0]), exp_shift / row_sum
+
+
 def hscl_loss(
     z: np.ndarray, z_prime: np.ndarray, soft: np.ndarray, lam_c: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -203,17 +215,11 @@ def hscl_loss(
     cos = z @ z_prime.T
     dist = np.sqrt(np.maximum(2.0 - 2.0 * cos, 0.0))
     sims = lam_c * cos - (1.0 - lam_c) * dist
-    masked = sims.copy()
-    np.fill_diagonal(masked, -np.inf)
-    row_max = masked.max(axis=1, keepdims=True)
-    exp_shift = np.exp(masked - row_max)
-    row_sum = exp_shift.sum(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(row_sum[:, 0])
+    lse, denom_soft = _off_diagonal_log_softmax(sims)
     row_weight = soft.sum(axis=1)
     loss = float(-((soft * sims).sum() - row_weight @ lse) / batch)
 
     # d(loss)/d(sims): soft targets minus row-weighted denominator softmax
-    denom_soft = exp_shift / row_sum
     d_sims = -(soft - row_weight[:, None] * denom_soft) / batch
 
     # d(loss)/d(cos): d(dist)/d(cos) = -1/dist, taken as 0 where the two
@@ -251,17 +257,10 @@ def supcon_loss(
     zs, zps = z[rows], z_prime[rows]
     scores = (zs @ zps.T) / tau
     n = rows.size
-    off_diag = ~np.eye(n, dtype=bool)
     positives = (y[:, None] == y[None, :]).astype(np.float64)
     pos_weight = positives / positives.sum(axis=1, keepdims=True)
-    masked = np.where(off_diag, scores, -np.inf)
-    row_max = masked.max(axis=1, keepdims=True)
-    exp_shift = np.exp(masked - row_max)
-    # one row sum serves both the log-sum-exp and the softmax denominator
-    row_sums = exp_shift.sum(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(row_sums[:, 0])
+    lse, denom_soft = _off_diagonal_log_softmax(scores)
     loss = float(-((pos_weight * scores).sum() - lse.sum()) / n)
-    denom_soft = exp_shift / row_sums
     d_scores = -(pos_weight - denom_soft) / n
     d_z[rows] = (d_scores @ zps) / tau
     d_zp[rows] = (d_scores.T @ zs) / tau

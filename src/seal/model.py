@@ -19,14 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import DataFormatError, InputError, NumericError, read_json
+from .errors import DataFormatError, InputError, NumericError, read_json, type_ok
 from .hierarchy import HierarchySpec
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -53,6 +52,13 @@ def parameters(state: ModelState) -> list[np.ndarray]:
     its gradients, and the optimizer keeps its velocity, as lists in this
     order."""
     return [*state.weights, *state.biases, *state.prototypes]
+
+
+def _shapes(in_dim: int, hidden, slice_bounds, counts) -> list[tuple[int, ...]]:
+    """The shape of each tensor of ``parameters(state)``, in that order, for
+    a model of these widths: what init, the writer and the loader share."""
+    dims = [in_dim, *hidden, slice_bounds[-1]]
+    return [*zip(dims, dims[1:]), *((d,) for d in dims[1:]), *((n, dims[-1]) for n in counts)]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -134,26 +140,16 @@ def init_model(
         proj_dim = 64 * spec.levels
     # checked before any weight is drawn
     widths = slice_widths(proj_dim, spec.levels)
+    bounds = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
+    shapes = _shapes(in_dim, hidden, bounds.tolist(), spec.counts)
+    layers = len(hidden) + 1
     rng = np.random.default_rng(seed)
-    dims = [in_dim] + list(hidden) + [proj_dim]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
-        biases.append(np.zeros(fan_out))
-    bounds = np.concatenate([[0], np.cumsum(widths)])
-    prototypes = []
-    for n_h in spec.counts:
-        protos = rng.standard_normal((n_h, proj_dim))
+    weights = [rng.standard_normal(shape) / np.sqrt(shape[0]) for shape in shapes[:layers]]
+    prototypes = [rng.standard_normal(shape) for shape in shapes[2 * layers :]]
+    for protos in prototypes:
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-        prototypes.append(protos)
-    return ModelState(
-        weights=weights,
-        biases=biases,
-        slice_bounds=bounds.astype(np.int64),
-        prototypes=prototypes,
-        tau=tau,
-        tau_sharp=tau_sharp,
-    )
+    biases = [np.zeros(shape) for shape in shapes[layers : 2 * layers]]
+    return ModelState(weights, biases, bounds, prototypes, tau, tau_sharp)
 
 
 @dataclass(eq=False)
@@ -389,27 +385,32 @@ def renormalize_prototypes(state: ModelState) -> None:
 
 _FORMAT_VERSION = 2
 
-
-def _ints(value, low: int) -> bool:
-    # a list of integers (bools are not), each at least low
-    return type(value) is list and all(type(v) is int and v >= low for v in value)
-
-
-# each sidecar field the loader reads: its test, and what the test asks for
-_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max, "a positive number")
-_WIDTHS = (lambda v: _ints(v, 1), "a list of integers of at least 1")
+# each sidecar field the loader reads: its JSON type, its range rule, and
+# what the two together ask for
+_WIDTHS = (list[int], lambda v: all(w >= 1 for w in v), "a list of integers of at least 1")
+_POSITIVE = (float, lambda v: v > 0, "a positive number")
 _SIDECAR_FIELDS = {
-    "format_version": (lambda v: type(v) is int and v == _FORMAT_VERSION, str(_FORMAT_VERSION)),
-    "in_dim": (lambda v: _ints([v], 1), "an integer of at least 1"),
+    "format_version": (int, lambda v: v == _FORMAT_VERSION, str(_FORMAT_VERSION)),
+    "in_dim": (int, lambda v: v >= 1, "an integer of at least 1"),
     "hidden": _WIDTHS,
-    "slice_bounds": (
-        lambda v: _ints(v, 0) and len(v) > 1 and v[0] == 0 and v == sorted(set(v)),
-        "a list of integers rising strictly from 0",
-    ),
+    "slice_bounds": (list[int], lambda v: len(v) > 1 and v[0] == 0 and v == sorted(set(v)),
+                     "a list of integers rising strictly from 0"),
     "counts": _WIDTHS,
     "tau": _POSITIVE,
     "tau_sharp": _POSITIVE,
 }
+
+
+def _layout_problem(fields: dict) -> str | None:
+    """The first sidecar field missing, of the wrong type or out of range,
+    else a count list not one per slice; None when every rule holds."""
+    for name, (expected, in_range, wanted) in _SIDECAR_FIELDS.items():
+        if name not in fields:
+            return f"missing metadata field {name!r}"
+        if not (type_ok(fields[name], expected) and in_range(fields[name])):
+            return f"{name} is {fields[name]!r}, expected {wanted}"
+    counts, slices = len(fields["counts"]), len(fields["slice_bounds"]) - 1
+    return None if counts == slices else f"counts has {counts} entries for {slices} slices"
 
 
 def save_checkpoint(path, state: ModelState, meta: dict | None = None) -> None:
@@ -419,10 +420,11 @@ def save_checkpoint(path, state: ModelState, meta: dict | None = None) -> None:
     format_version, in_dim, hidden, slice_bounds, counts (classes per
     level), tau, tau_sharp, and payload_sha256 (the hex SHA-256 of the
     payload). The caller's ``meta`` goes into the sidecar too; where it
-    names one of these fields, the writer's value wins."""
+    names one of these fields, the writer's value wins. A state whose
+    fields the loader would refuse, or whose tensors do not have the
+    shapes those fields give, is an InputError naming ``path`` and the
+    field or tensor, raised before any file is opened."""
     path = Path(path)
-    payload = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in parameters(state))
-    path.write_bytes(payload)
     sidecar = {
         **(meta or {}),
         "format_version": _FORMAT_VERSION,
@@ -432,8 +434,20 @@ def save_checkpoint(path, state: ModelState, meta: dict | None = None) -> None:
         "counts": [p.shape[0] for p in state.prototypes],
         "tau": state.tau,
         "tau_sharp": state.tau_sharp,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
+    problem = _layout_problem(sidecar)
+    if problem is None:
+        named = [(f"{group}[{i}]", tensor) for group in ("weights", "biases", "prototypes")
+                 for i, tensor in enumerate(getattr(state, group))]
+        shapes = _shapes(sidecar["in_dim"], sidecar["hidden"], sidecar["slice_bounds"],
+                         sidecar["counts"])
+        problem = next((f"{name} has shape {t.shape}, expected {shape}"
+                        for (name, t), shape in zip(named, shapes) if t.shape != shape), None)
+    if problem is not None:
+        raise InputError(f"the state to save in {path}: {problem}")
+    payload = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in parameters(state))
+    path.write_bytes(payload)
+    sidecar["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     Path(str(path) + ".meta.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
@@ -456,26 +470,18 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     meta = read_json(sidecar_path)
     if not isinstance(meta, dict):
         raise DataFormatError(f"{sidecar_path}: expected a JSON object")
-    for name, (valid, expected) in _SIDECAR_FIELDS.items():
-        if name not in meta:
-            raise DataFormatError(f"{sidecar_path}: missing metadata field {name!r}")
-        if not valid(meta[name]):
-            raise DataFormatError(f"{sidecar_path}: {name} is {meta[name]!r}, expected {expected}")
-    bounds, counts = meta["slice_bounds"], meta["counts"]
-    if len(counts) != len(bounds) - 1:
-        raise DataFormatError(
-            f"{sidecar_path}: counts has {len(counts)} entries for {len(bounds) - 1} slices"
-        )
-    dims = [meta["in_dim"], *meta["hidden"], bounds[-1]]
-    shapes = [*zip(dims, dims[1:]), *((d,) for d in dims[1:]), *((n, dims[-1]) for n in counts)]
+    problem = _layout_problem(meta)
+    if problem is not None:
+        raise DataFormatError(f"{sidecar_path}: {problem}")
+    shapes = _shapes(meta["in_dim"], meta["hidden"], meta["slice_bounds"], meta["counts"])
     sizes = [math.prod(shape) for shape in shapes]
     need, size = 8 * sum(sizes), path.stat().st_size
     if size != need:
         raise DataFormatError(f"{path}: {size} bytes, the shapes in {sidecar_path} need {need}")
     parts = np.split(np.fromfile(path, dtype="<f8"), np.cumsum(sizes)[:-1])
     tensors = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-    n = len(dims) - 1
+    n = len(meta["hidden"]) + 1
     weights, biases, prototypes = tensors[:n], tensors[n : 2 * n], tensors[2 * n :]
-    state = ModelState(weights, biases, np.array(bounds, dtype=np.int64), prototypes,
-                       float(meta["tau"]), float(meta["tau_sharp"]))
+    state = ModelState(weights, biases, np.array(meta["slice_bounds"], dtype=np.int64),
+                       prototypes, float(meta["tau"]), float(meta["tau_sharp"]))
     return state, meta

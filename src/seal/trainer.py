@@ -206,7 +206,7 @@ def predict_levels(state: ModelState, features: np.ndarray):
     preds = [np.empty(n, dtype=np.intp) for _ in range(state.levels)]
     scores = [np.empty((n, protos.shape[0])) for protos in state.prototypes]
     starts = range(0, n, PREDICT_BATCH)
-    threads = min(2, _usable_cpus(), len(starts))
+    threads = min(2, usable_cpus(), len(starts))
     # a thread's first batch is its largest, so its trace fits the rest
     traces = [empty_trace(state, features[s : s + PREDICT_BATCH]) for s in starts[:threads]]
 
@@ -232,7 +232,9 @@ def predict_levels(state: ModelState, features: np.ndarray):
     return preds, scores
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count. Thread and process pools size by it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seal import BLAS_THREAD_VARS
 from seal.benchmark import coarse_consistency, mean_consistency, run_arm
 from seal.errors import InputError
 from seal.evaluation import hungarian_acc
@@ -40,7 +41,7 @@ from seal.theory import (
     product_joint,
     random_joint,
 )
-from seal.trainer import objective
+from seal.trainer import objective, usable_cpus
 
 from objective_reference import (
     FD_STEP,
@@ -382,7 +383,6 @@ EXPERIMENT_ARMS = {
     "test_criterion_7_consistency_effect": (("seal", "seal_no_cgc"), CGC_SEEDS),
 }
 _ARM_ORDER = ("seal", "seal_shuffled_hierarchy", "seal_no_cgc", "baseline")
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _final_metrics(arm, seed):
@@ -403,9 +403,9 @@ def arm_runner(request):
         key=lambda pair: (_ARM_ORDER.index(pair[0]), pair[1]),
     )
     started = time.perf_counter()
-    workers = min(os.cpu_count() or 1, len(pairs))
+    workers = min(usable_cpus(), len(pairs))
     with pytest.MonkeyPatch.context() as env:
-        for var in _BLAS_THREAD_VARS:  # read by each worker's numpy at import
+        for var in BLAS_THREAD_VARS:  # read by each worker's numpy at import
             env.setenv(var, "1")
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             finals = list(pool.map(_final_metrics, *zip(*pairs)))

@@ -821,6 +821,35 @@ class TestEvalCommand:
         assert parsed.count(features) == 1
         assert len((tmp_path / "proj.csv").read_text().splitlines()) == 13
 
+    def test_projection_runs_in_predict_batches(self, tmp_path, capsys, monkeypatch):
+        from seal import model
+        from seal.datagen import generate_synthetic, save_features_csv
+        from seal.hierarchy import load_hierarchy
+        from seal.trainer import PREDICT_BATCH
+
+        train_tiny_run(tmp_path)
+        spec, _ = load_hierarchy(tmp_path / "hierarchy.json")
+        ds = generate_synthetic(spec, per_class=300, dim=3, seed=2)
+        save_features_csv(tmp_path / "features.csv", ds)
+        assert len(ds) > 2 * PREDICT_BATCH
+        z_rows = []
+        forward = model.forward
+
+        def spying_forward(state, x, out=None):
+            trace = forward(state, x, out=out)
+            z_rows.append(trace.z_hat.copy())
+            return trace
+
+        monkeypatch.setattr(model, "forward", spying_forward)
+        assert main(projection_argv(tmp_path)) == 0
+        tail = len(ds) - 2 * PREDICT_BATCH
+        assert [len(z) for z in z_rows] == [PREDICT_BATCH, PREDICT_BATCH, tail]
+        z = np.concatenate(z_rows)
+        z -= z.mean(axis=0)
+        _, _, vt = np.linalg.svd(z, full_matrices=False)
+        rows = [f"{i},{x!r},{y!r}" for i, (x, y) in enumerate((z @ vt[:2].T).tolist())]
+        assert (tmp_path / "proj.csv").read_text().splitlines() == ["id,x,y", *rows]
+
 
 class TestVerifyTheory:
     def test_all_checks_pass(self, capsys):

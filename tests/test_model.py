@@ -492,33 +492,37 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "named,tamper",
+        "problem,tamper",
         [
-            ("size", lambda st: st.weights.__setitem__(1, st.weights[1][:-1])),
-            ("size", lambda st: st.biases.__setitem__(0, st.biases[0][:-1])),
-            ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([1, 2, 4, 6]))),
-            ("slice_bounds", lambda st: setattr(st, "slice_bounds", np.array([0, 4, 2, 6]))),
-            ("size", lambda st: setattr(st, "slice_bounds", np.array([0, 2, 4, 5]))),
-            ("size", lambda st: st.prototypes.__setitem__(1, st.prototypes[1][:, :5])),
+            ("weights[1] has shape (4, 6), expected (5, 6)",
+             lambda st: st.weights.__setitem__(1, st.weights[1][:-1])),
+            ("biases[0] has shape (4,), expected (5,)",
+             lambda st: st.biases.__setitem__(0, st.biases[0][:-1])),
+            ("slice_bounds is [1, 2, 4, 6], expected a list of integers rising strictly from 0",
+             lambda st: setattr(st, "slice_bounds", np.array([1, 2, 4, 6]))),
+            ("slice_bounds is [0, 4, 2, 6], expected a list of integers rising strictly from 0",
+             lambda st: setattr(st, "slice_bounds", np.array([0, 4, 2, 6]))),
+            ("weights[1] has shape (5, 6), expected (5, 5)",
+             lambda st: setattr(st, "slice_bounds", np.array([0, 2, 4, 5]))),
+            ("prototypes[1] has shape (3, 5), expected (3, 6)",
+             lambda st: st.prototypes.__setitem__(1, st.prototypes[1][:, :5])),
+            ("counts has 2 entries for 3 slices", lambda st: st.prototypes.pop()),
+            ("prototypes[0] has shape (2, 6), expected (6,)", lambda st: st.biases.pop()),
         ],
         ids=["weight rows", "bias width", "bounds start", "bounds rise", "bounds end",
-             "prototype width"],
+             "prototype width", "prototype count", "bias count"],
     )
-    def test_tensors_that_do_not_chain_rejected(self, tmp_path, named, tamper):
-        # the sidecar describes the shapes a model's tensors must have: a
-        # tensor of another shape leaves the payload another size
+    def test_tensors_that_do_not_chain_rejected(self, tmp_path, problem, tamper):
+        # the writer refuses a state whose tensors do not have the shapes
+        # its own widths, slice bounds and prototype counts give, naming
+        # the tensor, and leaves no file behind
         state, _ = tiny_state()
         tamper(state)
         path = tmp_path / "model.seal"
-        save_checkpoint(path, state)
-        with pytest.raises(DataFormatError) as info:
-            load_checkpoint(path)
-        sidecar = tmp_path / "model.seal.meta.json"
-        if named == "size":
-            assert str(info.value).startswith(f"{path}: ")
-            assert f"the shapes in {sidecar} need" in str(info.value)
-        else:
-            assert str(info.value).startswith(f"{sidecar}: slice_bounds is ")
+        with pytest.raises(InputError) as info:
+            save_checkpoint(path, state)
+        assert str(info.value) == f"the state to save in {path}: {problem}"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("edit,need", [
         ({"counts": [2, 3], "slice_bounds": [0, 3, 6]}, 728),
