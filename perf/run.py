@@ -3,18 +3,17 @@
 Run from any directory; the file goes to the root of the checkout that
 holds this script:
 
-    python3 perf/run.py --label main --repeats 10 [--epochs 5]
+    python3 perf/run.py --label main --repeats 10
 
 The library is imported from ``src/`` next to this directory. BLAS is
 pinned to one thread before numpy loads, unless the environment already
 sets its thread variables. Each repeat times, in this order:
 
-- one N-epoch ``train()`` of the frozen ``seal`` arm at seed 1 (N is
-  ``--epochs``, 5 by default), which calls ``predict_levels`` 2N + 1
-  times (per epoch the transition refresh and the validation pass, then
-  the final pass);
-- one N-epoch ``train()`` of the ``baseline`` arm at seed 1, which calls
-  it N + 1 times (it has no transition matrices to refresh);
+- one 5-epoch ``train()`` of the frozen ``seal`` arm at seed 1, which
+  calls ``predict_levels`` 11 times (per epoch the transition refresh
+  and the validation pass, then the final pass);
+- one 5-epoch ``train()`` of the ``baseline`` arm at seed 1, which calls
+  it 6 times (it has no transition matrices to refresh);
 - one ``predict_levels`` of the seal model over the held-out draw: the
   frozen generator at 400 samples per class, less the rows that repeat
   training rows.
@@ -25,7 +24,7 @@ the machine facts, the sizes, and per unit the raw samples in seconds
 with their median and interquartile range.
 
 A fresh-process round follows: per repeat and arm, one new Python
-process runs one N-epoch ``train()`` and reports its wall time and the
+process runs one 5-epoch ``train()`` and reports its wall time and the
 minor page faults the process took during that call (the ``ru_minflt``
 delta). Inside the timed loop above the allocator reuses the pages of
 earlier repeats; a fresh process pays for them, as every ``seal train``
@@ -179,16 +178,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the file: BENCH_<label>.json")
     parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--epochs", type=int, default=EPOCHS, help="epochs of each train()")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         parser.error(f"--label takes letters, digits, '_', '.' and '-', got {args.label!r}")
     if args.repeats < 1:
         parser.error(f"--repeats must be positive, got {args.repeats}")
-    if args.epochs < 1:
-        parser.error(f"--epochs must be positive, got {args.epochs}")
     try:
-        doc = collect(args.repeats, args.epochs, HELDOUT_PER_CLASS)
+        doc = collect(args.repeats, EPOCHS, HELDOUT_PER_CLASS)
     except RuntimeError as exc:
         print(f"perf: {exc}", file=sys.stderr)
         return 1

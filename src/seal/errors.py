@@ -68,7 +68,10 @@ def type_ok(value, expected) -> bool:
     origin = typing.get_origin(expected)
     if origin is not None:
         item = typing.get_args(expected)[0]
-        return isinstance(value, list) and all(type_ok(v, item) for v in value)
+        plain = type(item) is type and item not in (bool, float)  # decided once per list
+        return isinstance(value, list) and all(
+            type(v) is not bool and isinstance(v, item) if plain else type_ok(v, item) for v in value
+        )
     return isinstance(value, expected)
 
 

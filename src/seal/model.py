@@ -401,15 +401,15 @@ _SIDECAR_FIELDS = {
 }
 
 
-def _layout_problem(fields: dict) -> str | None:
+def _layout_problem(sidecar: dict) -> str | None:
     """The first sidecar field missing, of the wrong type or out of range,
     else a count list not one per slice; None when every rule holds."""
     for name, (expected, in_range, wanted) in _SIDECAR_FIELDS.items():
-        if name not in fields:
+        if name not in sidecar:
             return f"missing metadata field {name!r}"
-        if not (type_ok(fields[name], expected) and in_range(fields[name])):
-            return f"{name} is {fields[name]!r}, expected {wanted}"
-    counts, slices = len(fields["counts"]), len(fields["slice_bounds"]) - 1
+        if not (type_ok(sidecar[name], expected) and in_range(sidecar[name])):
+            return f"{name} is {sidecar[name]!r}, expected {wanted}"
+    counts, slices = len(sidecar["counts"]), len(sidecar["slice_bounds"]) - 1
     return None if counts == slices else f"counts has {counts} entries for {slices} slices"
 
 

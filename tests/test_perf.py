@@ -50,23 +50,6 @@ def test_one_repeat_writes_every_unit(perf_run, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_epochs_sets_every_train(perf_run, tmp_path, monkeypatch):
-    # --epochs reaches the in-process arms and the fresh-process round alike
-    epochs = []
-    train = seal.trainer.train
-
-    def counting_train(*args):
-        epochs.append(args[4].epochs)
-        return train(*args)
-
-    monkeypatch.setattr(seal.trainer, "train", counting_train)
-    fresh = []
-    monkeypatch.setattr(perf_run, "fresh_round", lambda repeats, n: fresh.append(n) or {})
-    assert perf_run.main(["--label", "tiny", "--repeats", "1", "--epochs", "2"]) == 0
-    assert epochs == [2, 2] and fresh == [2]
-    assert json.loads((tmp_path / "BENCH_tiny.json").read_text())["sizes"]["epochs"] == 2
-
-
 def test_predictions_that_differ_between_repeats_write_nothing(perf_run, tmp_path, monkeypatch,
                                                                capsys):
     calls = []
@@ -87,9 +70,7 @@ def test_predictions_that_differ_between_repeats_write_nothing(perf_run, tmp_pat
     assert not (tmp_path / "BENCH_tiny.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--label", "../x"], ["--label", "x", "--repeats", "0"], ["--label", "x", "--epochs", "0"],
-])
+@pytest.mark.parametrize("argv", [["--label", "../x"], ["--label", "x", "--repeats", "0"]])
 def test_bad_arguments_are_refused(perf_run, argv):
     with pytest.raises(SystemExit) as info:
         perf_run.main(argv)
