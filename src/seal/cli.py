@@ -375,46 +375,29 @@ def _dump_projection(args) -> None:
     """PCA the checkpointed model's aggregated features to two columns
     for external plotting: one row per features row, its id as the file
     gives it (CSV-quoted where it needs to be) and the two coordinates
-    as float reprs. The encoder runs in PREDICT_BATCH-row batches through
-    one reused trace, so its scratch memory does not grow with the file."""
+    as float reprs. The checkpoint is used only if its payload matches
+    the sidecar's digest; the encoder runs through ``trainer.encode``,
+    the batched pass that predictions use."""
     import csv
-    import hashlib
 
     import numpy as np
 
     from .datagen import _load_embeddings_and_ids
-    from .model import empty_trace, forward, load_checkpoint
-    from .trainer import PREDICT_BATCH
+    from .model import check_payload, load_checkpoint
+    from .trainer import encode
 
     if not args.features or not args.checkpoint:
         raise InputError("--dump-projection needs --features and --checkpoint")
     state, meta = load_checkpoint(args.checkpoint)
-    # the payload is trusted only if it is the one its sidecar describes
-    sidecar = f"{args.checkpoint}.meta.json"
-    if "payload_sha256" not in meta:
-        raise DataFormatError(f"{sidecar}: missing metadata field 'payload_sha256'")
-    digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
-    if meta["payload_sha256"] != digest:
-        raise DataFormatError(
-            f"{args.checkpoint}: payload SHA-256 is {digest}, {sidecar} gives "
-            f"{meta['payload_sha256']!r}"
-        )
+    check_payload(args.checkpoint, meta)
     _, dataset, ids = _load_embeddings_and_ids(args.features, args.hierarchy)
     if dataset.dim != state.in_dim:
         raise InputError(
             f"{args.features} has {dataset.dim} feature columns, the checkpoint "
             f"{args.checkpoint} takes {state.in_dim}"
         )
-    features = dataset.features
-    z = np.empty((features.shape[0], state.proj_dim))
-    trace = empty_trace(state, features[:PREDICT_BATCH])
     try:
-        for start in range(0, features.shape[0], PREDICT_BATCH):
-            batch = features[start : start + PREDICT_BATCH]
-            # a shorter last batch runs in the leading rows of the trace
-            z[start : start + batch.shape[0]] = forward(
-                state, batch, out=trace.head(batch.shape[0])
-            ).z_hat
+        (z,) = encode(state, dataset.features, lambda trace: [trace.z_hat])
     except NumericError as exc:
         raise NumericError(f"checkpoint {args.checkpoint} on {args.features}: {exc}") from exc
     z -= z.mean(axis=0)

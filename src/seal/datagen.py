@@ -145,6 +145,8 @@ def generate_synthetic(
         raise InputError(
             f"expected {spec.levels + 1} spreads (levels + sample noise), got {len(spreads)}"
         )
+    if not np.all(np.isfinite(spreads)):
+        raise InputError(f"spreads must be finite, got {spreads}")
     if any(s <= 0 for s in spreads[:-1]) or spreads[-1] < 0:
         raise InputError("spreads must be positive (sample noise may be zero)")
     if not 0 < imbalance <= 1:
@@ -161,11 +163,9 @@ def generate_synthetic(
         centroids = centroids[parents] + offsets
 
     n_fine = spec.num_fine
-    if imbalance == 1.0:
-        class_sizes = np.full(n_fine, per_class, dtype=np.int64)
-    else:
-        ratios = imbalance ** (np.arange(n_fine) / max(n_fine - 1, 1))
-        class_sizes = np.maximum(1, np.round(per_class * ratios)).astype(np.int64)
+    # at imbalance 1 every ratio is exactly 1.0, so every class has per_class rows
+    ratios = imbalance ** (np.arange(n_fine) / max(n_fine - 1, 1))
+    class_sizes = np.maximum(1, np.round(per_class * ratios)).astype(np.int64)
 
     features = []
     for k in range(n_fine):

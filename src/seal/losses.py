@@ -312,12 +312,12 @@ def cgc_loss(
     return loss, d_levels, d_fine
 
 
-def consistency_probs(scores: np.ndarray, tau_c: float) -> np.ndarray:
-    """Softmax of cosine scores at the consistency temperature (used by
-    both the distillation loss and the transition-matrix update pass)."""
+def consistency_probs(logits: np.ndarray, tau_c: float) -> np.ndarray:
+    """Softmax of classifier logits (cosine scores / tau) at the consistency
+    temperature tau_c, as ``trainer._consistency_posteriors`` applies it."""
     if tau_c <= 0:
         raise InputError("consistency temperature must be positive")
-    return softmax(scores / tau_c)
+    return softmax(logits / tau_c)
 
 
 def total_loss(components: dict[str, float]) -> float:

@@ -81,8 +81,8 @@ class ModelState:
     biases: list[np.ndarray]
     slice_bounds: np.ndarray
     prototypes: list[np.ndarray]
-    tau: float = 0.1
-    tau_sharp: float = 0.07
+    tau: float
+    tau_sharp: float
 
     @property
     def levels(self) -> int:
@@ -459,8 +459,8 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     the shapes need is one naming both files, raised before anything is
     allocated. Neither the payload's digest nor its finiteness is
     checked: a caller that compares the loaded tensors itself must be
-    able to load a payload that changed, so the digest check is
-    ``seal eval --checkpoint``'s."""
+    able to load a payload that changed, so the digest is checked apart,
+    by ``check_payload``."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".meta.json")
     if not path.exists():
@@ -485,3 +485,16 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     state = ModelState(weights, biases, np.array(meta["slice_bounds"], dtype=np.int64),
                        prototypes, float(meta["tau"]), float(meta["tau_sharp"]))
     return state, meta
+
+
+def check_payload(path, meta: dict) -> None:
+    """A DataFormatError unless ``meta``, the fields load_checkpoint read
+    from <path>.meta.json, gives payload_sha256 as the file's SHA-256."""
+    sidecar = f"{path}.meta.json"
+    if "payload_sha256" not in meta:
+        raise DataFormatError(f"{sidecar}: missing metadata field 'payload_sha256'")
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    if meta["payload_sha256"] != digest:
+        raise DataFormatError(
+            f"{path}: payload SHA-256 is {digest}, {sidecar} gives {meta['payload_sha256']!r}"
+        )

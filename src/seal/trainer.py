@@ -7,8 +7,8 @@ momentum SGD with ``sgd_step``.
 Randomness is split into three deterministic streams derived from the
 run seed: [seed, 0] for the validation carve-out, [seed, 1] for batch
 composition, [seed, 2] for view noise. Identical seeds and configs give
-identical runs with one BLAS thread; predict_levels' thread split moves
-no bit.
+identical runs with one BLAS thread; encode's thread split moves no
+bit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .model import (
     softmax,
 )
 
-# rows per forward pass in predict_levels; the bits of the scores depend
+# rows per forward pass in encode; the bits of the scores depend
 # on it (batches of 256, 1024 or 2048 each change hundreds to thousands
 # of the seal arm's scores), so every caller scores at this size
 PREDICT_BATCH = 512
@@ -185,16 +185,16 @@ def validation_split(labelled: np.ndarray, val_fraction: float, seed: int):
     return train, val
 
 
-def predict_levels(state: ModelState, features: np.ndarray):
-    """Argmax class predictions at every level, taken of the raw cosine
-    scores (softmax(scores / tau) keeps their order), plus those scores.
+def encode(state: ModelState, features: np.ndarray, pick):
+    """Run the encoder over every row of features and return the arrays
+    ``pick(trace)`` lists, each stacked over all rows.
 
     One forward pass per batch of PREDICT_BATCH rows. Batch i goes to
     thread i mod T, where T is the smaller of 2, the CPUs this process
     may run on and the batch count: the calling thread and, when T is 2,
     one worker that lives for this call only. Each thread overwrites its
     own trace, both made here before the worker starts, so a call
-    allocates T traces however many rows it scores. Every batch runs the
+    allocates T traces however many rows it runs. Every batch runs the
     same pass on the same rows into its own rows of the results, so the
     bits do not depend on T. The results go to arrays made once per
     call, which the caller owns. A NumericError from either thread
@@ -203,33 +203,38 @@ def predict_levels(state: ModelState, features: np.ndarray):
     n = features.shape[0]
     if n == 0:
         raise InputError("no rows to predict")
-    preds = [np.empty(n, dtype=np.intp) for _ in range(state.levels)]
-    scores = [np.empty((n, protos.shape[0])) for protos in state.prototypes]
     starts = range(0, n, PREDICT_BATCH)
     threads = min(2, usable_cpus(), len(starts))
     # a thread's first batch is its largest, so its trace fits the rest
     traces = [empty_trace(state, features[s : s + PREDICT_BATCH]) for s in starts[:threads]]
+    results = [np.empty((n, *a.shape[1:]), dtype=a.dtype) for a in pick(traces[0])]
 
-    def score_share(share):
+    def run_share(share):
         for start in starts[share::threads]:
             batch = features[start : start + PREDICT_BATCH]
             # a shorter last batch runs in the leading rows of the trace
             trace = forward(state, batch, out=traces[share].head(batch.shape[0]))
-            rows = slice(start, start + batch.shape[0])
-            for lvl in range(state.levels):
-                np.argmax(trace.scores[lvl], axis=1, out=preds[lvl][rows])
-                scores[lvl][rows] = trace.scores[lvl]
+            for result, picked in zip(results, pick(trace)):
+                result[start : start + batch.shape[0]] = picked
 
     if threads == 1:
-        score_share(0)
+        run_share(0)
     else:
         with ThreadPoolExecutor(max_workers=1) as pool:
             # the worker runs in a copy of this thread's context, so numpy's
             # error state is the caller's in both shares
-            worker = pool.submit(contextvars.copy_context().run, score_share, 1)
-            score_share(0)
+            worker = pool.submit(contextvars.copy_context().run, run_share, 1)
+            run_share(0)
             worker.result()
-    return preds, scores
+    return results
+
+
+def predict_levels(state: ModelState, features: np.ndarray):
+    """Argmax class predictions at every level, taken of the raw cosine
+    scores (softmax(scores / tau) keeps their order), plus those scores,
+    from one ``encode`` pass."""
+    scores = encode(state, features, lambda trace: trace.scores)
+    return [np.argmax(s, axis=1) for s in scores], scores
 
 
 def usable_cpus() -> int:
@@ -241,14 +246,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _consistency_posteriors(state, scores, tau_c):
+    """Each level's consistency posterior: softmax(scores / tau) softened by tau_c."""
+    return [L.consistency_probs(s / state.tau, tau_c) for s in scores]
+
+
 def _refresh_transitions(state, features, transitions, tau_c, momentum):
     _, scores = predict_levels(state, features)
-    logits = [s / state.tau for s in scores]
-    fine_probs = L.consistency_probs(logits[-1], tau_c)
-    return [
-        update_transition(tm, L.consistency_probs(logits[tm.level - 1], tau_c), fine_probs, momentum)
-        for tm in transitions
-    ]
+    probs = _consistency_posteriors(state, scores, tau_c)
+    return [update_transition(tm, probs[tm.level - 1], probs[-1], momentum) for tm in transitions]
 
 
 def train(
@@ -375,16 +381,16 @@ def _compose_batch(lab_sampler, unlab_sampler, batch_size):
 def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, loss_cfg, lam_c):
     """The summed training loss of a two-view batch and its gradient.
 
-    The one place the loss terms and their gradient scales are combined,
-    and where the heads' cosine scores meet all three temperatures: per
-    level, the classification term on softmax(scores / tau) against the
-    other view's pseudo-labels at tau_sharp, averaged over the two views,
-    and the soft contrastive and supervised contrastive terms mixed by
-    ``balance``; then, with transition matrices, the consistency term on
-    view a at tau * tau_c. Returns the ``loss_*`` components and the
-    gradient of ``loss_total``, a list in ``parameters`` order.
-    Pseudo-labels, soft targets and the coarse heads' finer slices are
-    constants, as the gradient controller makes them.
+    The one place the loss terms and their gradient scales are combined:
+    per level, the classification term on softmax(scores / tau) against
+    the other view's pseudo-labels at tau_sharp, averaged over the two
+    views, and the soft contrastive and supervised contrastive terms
+    mixed by ``balance``; then, with transition matrices, the consistency
+    term on view a's ``_consistency_posteriors`` (tau, then tau_c).
+    Returns the ``loss_*`` components and the gradient of ``loss_total``,
+    a list in ``parameters`` order. Pseudo-labels, soft targets and the
+    coarse heads' finer slices are constants, as the gradient controller
+    makes them.
     """
     trace_a = forward(state, view_a)
     trace_b = forward(state, view_b)
@@ -393,16 +399,13 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
     # what soft_labels returns then, so no similarity is computed
     soft = np.eye(view_a.shape[0]) if smoothness == 0 else None
     sims: list[np.ndarray] = []
-    logits_a: list[np.ndarray] = []
     d_scores_a, d_scores_b, d_slices_a, d_slices_b = [], [], [], []
     cls_sum = hscl_sum = sup_sum = 0.0
     for h, labels_h in enumerate(batch_labels):
         za, zb = trace_a.z_slices[h], trace_b.z_slices[h]
         pseudo_b = L.sharpen(trace_b.scores[h], state.tau_sharp)
         pseudo_a = L.sharpen(trace_a.scores[h], state.tau_sharp)
-        # the classifier logits; the consistency term reads view a's again
-        logits_a.append(trace_a.scores[h] / state.tau)
-        probs_a, probs_b = softmax(logits_a[h]), softmax(trace_b.scores[h] / state.tau)
+        probs_a, probs_b = (softmax(t.scores[h] / state.tau) for t in (trace_a, trace_b))
         loss_a, d_log_a = L.cls_loss(probs_a, pseudo_b, labels_h, labelled_mask, loss_cfg)
         loss_b, d_log_b = L.cls_loss(probs_b, pseudo_a, labels_h, labelled_mask, loss_cfg)
         cls_sum += 0.5 * (loss_a + loss_b)
@@ -428,7 +431,7 @@ def objective(state, view_a, view_b, labelled_mask, batch_labels, transitions, l
         # runs on view a and also trains the fine head through the
         # pseudo-coarse target
         tau_c = loss_cfg.tau_consistency
-        probs_c = [L.consistency_probs(logits, tau_c) for logits in logits_a]
+        probs_c = _consistency_posteriors(state, trace_a.scores, tau_c)
         cgc_value, d_levels, d_fine = L.cgc_loss(probs_c[:-1], probs_c[-1], transitions)
         d_scores_a = [
             d_cls + d / (state.tau * tau_c) for d_cls, d in zip(d_scores_a, d_levels + [d_fine])

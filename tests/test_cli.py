@@ -156,6 +156,18 @@ class TestGenerate:
         assert main(["generate", "--counts", "2,x", "--out", str(tmp_path)]) == 1
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spreads, shown", [
+        ("nan,1,1", "[nan, 1.0, 1.0]"), ("1,1,inf", "[1.0, 1.0, inf]"),
+    ])
+    def test_non_finite_spreads_named(self, tmp_path, capsys, spreads, shown):
+        out = tmp_path / "data"
+        assert main(["generate", "--counts", "2,4", "--per-class", "3", "--dim", "3",
+                     "--spreads", spreads, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"seal: error: spreads must be finite, got {shown}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_artifacts(self, tmp_path, capsys):
@@ -822,7 +834,7 @@ class TestEvalCommand:
         assert len((tmp_path / "proj.csv").read_text().splitlines()) == 13
 
     def test_projection_runs_in_predict_batches(self, tmp_path, capsys, monkeypatch):
-        from seal import model
+        from seal import trainer
         from seal.datagen import generate_synthetic, save_features_csv
         from seal.hierarchy import load_hierarchy
         from seal.trainer import PREDICT_BATCH
@@ -832,16 +844,20 @@ class TestEvalCommand:
         ds = generate_synthetic(spec, per_class=300, dim=3, seed=2)
         save_features_csv(tmp_path / "features.csv", ds)
         assert len(ds) > 2 * PREDICT_BATCH
-        z_rows = []
-        forward = model.forward
+        batches = []
+        forward = trainer.forward
 
+        # the name trainer.encode calls; two threads may run the batches
+        # out of order, so each is kept with the row it starts at
         def spying_forward(state, x, out=None):
             trace = forward(state, x, out=out)
-            z_rows.append(trace.z_hat.copy())
+            start = int(np.flatnonzero((ds.features == x[0]).all(axis=1))[0])
+            batches.append((start, trace.z_hat.copy()))
             return trace
 
-        monkeypatch.setattr(model, "forward", spying_forward)
+        monkeypatch.setattr(trainer, "forward", spying_forward)
         assert main(projection_argv(tmp_path)) == 0
+        z_rows = [z for _, z in sorted(batches, key=lambda batch: batch[0])]
         tail = len(ds) - 2 * PREDICT_BATCH
         assert [len(z) for z in z_rows] == [PREDICT_BATCH, PREDICT_BATCH, tail]
         z = np.concatenate(z_rows)
@@ -849,6 +865,25 @@ class TestEvalCommand:
         _, _, vt = np.linalg.svd(z, full_matrices=False)
         rows = [f"{i},{x!r},{y!r}" for i, (x, y) in enumerate((z @ vt[:2].T).tolist())]
         assert (tmp_path / "proj.csv").read_text().splitlines() == ["id,x,y", *rows]
+
+    def test_projection_is_the_same_on_one_cpu_and_on_two(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from seal.datagen import generate_synthetic, save_features_csv
+        from seal.hierarchy import load_hierarchy
+
+        train_tiny_run(tmp_path)
+        spec, _ = load_hierarchy(tmp_path / "hierarchy.json")
+        # three batches: the worker takes the second when there are two CPUs
+        save_features_csv(tmp_path / "features.csv",
+                          generate_synthetic(spec, per_class=300, dim=3, seed=2))
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert main(projection_argv(tmp_path)) == 0
+            written.append((tmp_path / "proj.csv").read_bytes())
+        assert len(written[0].splitlines()) == 1201
+        assert written[0] == written[1]
 
 
 class TestVerifyTheory:

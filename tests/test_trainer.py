@@ -27,6 +27,7 @@ from seal.trainer import (
     TrainConfig,
     cosine_lr,
     curriculum_lambda,
+    encode,
     make_views,
     objective,
     predict_levels,
@@ -167,9 +168,9 @@ class TestSamplers:
 
 
 class TestPredictLevels:
-    """predict_levels splits its batches between the calling thread and
-    at most one worker, each reusing one trace, and must give what one
-    fresh forward pass per batch gives."""
+    """predict_levels, through encode, splits its batches between the
+    calling thread and at most one worker, each reusing one trace, and
+    must give what one fresh forward pass per batch gives."""
 
     @staticmethod
     def state():
@@ -218,10 +219,15 @@ class TestPredictLevels:
         sys.setswitchinterval(1e-6)
         try:
             preds, scores = predict_levels(state, features)
+            (z_hat,) = encode(state, features, lambda trace: [trace.z_hat])
         finally:
             sys.setswitchinterval(interval)
         ref_preds, ref_scores = self.reference(state, features)
-        for got, ref in zip(preds + scores, ref_preds + ref_scores):
+        ref_z_hat = np.concatenate([
+            forward(state, features[start : start + 512]).z_hat
+            for start in range(0, n, 512)
+        ])
+        for got, ref in zip(preds + scores + [z_hat], ref_preds + ref_scores + [ref_z_hat]):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
