@@ -375,9 +375,8 @@ def _dump_projection(args) -> None:
     """PCA the checkpointed model's aggregated features to two columns
     for external plotting: one row per features row, its id as the file
     gives it (CSV-quoted where it needs to be) and the two coordinates
-    as float reprs. The checkpoint is used only if its payload matches
-    the sidecar's digest; the encoder runs through ``trainer.encode``,
-    the batched pass that predictions use."""
+    as float reprs. The payload must pass ``model.check_payload``, and the
+    encoder runs through ``trainer.encode``, as predictions do."""
     import csv
 
     import numpy as np

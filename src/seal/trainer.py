@@ -205,9 +205,11 @@ def encode(state: ModelState, features: np.ndarray, pick):
         raise InputError("no rows to predict")
     starts = range(0, n, PREDICT_BATCH)
     threads = min(2, usable_cpus(), len(starts))
+    # shaped by a trace of no rows and made first, so that freed traces can go back
+    results = [np.empty((n, *a.shape[1:]), dtype=a.dtype)
+               for a in pick(empty_trace(state, features[:0]))]
     # a thread's first batch is its largest, so its trace fits the rest
     traces = [empty_trace(state, features[s : s + PREDICT_BATCH]) for s in starts[:threads]]
-    results = [np.empty((n, *a.shape[1:]), dtype=a.dtype) for a in pick(traces[0])]
 
     def run_share(share):
         for start in starts[share::threads]:
@@ -230,9 +232,8 @@ def encode(state: ModelState, features: np.ndarray, pick):
 
 
 def predict_levels(state: ModelState, features: np.ndarray):
-    """Argmax class predictions at every level, taken of the raw cosine
-    scores (softmax(scores / tau) keeps their order), plus those scores,
-    from one ``encode`` pass."""
+    """Each level's argmax of the raw cosine scores, which softmax(scores /
+    tau) keeps in order, plus those scores, from one ``encode`` pass."""
     scores = encode(state, features, lambda trace: trace.scores)
     return [np.argmax(s, axis=1) for s in scores], scores
 
